@@ -185,7 +185,7 @@ class _Session:
         self.upstream: socket.socket | None = None
         self._lock = threading.Lock()
         # Faults decided at request time, executed on the reply path.
-        # Id-carrying requests map by id; id-less (v1/hello) replies come
+        # Id-carrying requests map by id; id-less (hello) replies come
         # back strictly in order, so a FIFO queue lines them up.
         self._by_id: dict[int, list[FaultSpec]] = {}  # guarded by: _lock
         self._fifo: deque[list[FaultSpec]] = deque()  # guarded by: _lock

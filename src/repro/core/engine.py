@@ -188,13 +188,14 @@ class EvalEngine:
     dispatcher:
         A pre-built remote-style dispatcher — any object with
         ``dispatch(problem, token, X) -> (rows, counters, n_sims)`` and
-        ``close()`` — used *instead of* constructing a
-        :class:`~repro.core.service.RemoteDispatcher` from ``hosts``.
-        Implies ``backend="remote"``.  This is how
-        :meth:`~repro.core.fleet.FleetCoordinator.engine` hands each tenant
-        a standard engine whose misses flow through the shared fleet
-        scheduler; closing the engine closes (detaches) only the injected
-        dispatcher, never the fleet behind it.
+        ``close()`` — used *instead of* building one from ``hosts`` with
+        :func:`~repro.core.service.RemoteDispatcher`.  Implies
+        ``backend="remote"``.  Both paths lead to the one fleet scheduler:
+        ``hosts`` get a private single-tenant
+        :class:`~repro.core.fleet.FleetCoordinator` that the engine stops
+        on :meth:`close`, while
+        :meth:`~repro.core.fleet.FleetCoordinator.engine` injects a tenant
+        of a shared fleet, which closing the engine only detaches.
     chunk_timeout:
         Per-design deadline (seconds) for the ``remote`` backend: a chunk
         of ``n`` designs must be answered within ``chunk_timeout * n``
@@ -206,9 +207,10 @@ class EvalEngine:
         deadline (simulations may legitimately take minutes).
     degraded:
         ``"local"`` opts the ``remote`` backend into graceful degradation:
-        with zero live workers, missing rows are evaluated in-process
-        (logged and counted) instead of raising.  Default ``None`` keeps
-        the strict fail-fast behaviour.
+        once every host has failed, missing rows are evaluated in-process
+        (logged, and counted in the fleet's ``stats()``) instead of
+        raising.  Default ``None`` keeps the strict fail-fast behaviour:
+        :class:`~repro.core.service.ServiceError` with the per-host trail.
 
     The engine is reusable across batches and across optimizers sharing one
     problem; :meth:`close` (or use as a context manager) releases the pool
@@ -789,14 +791,24 @@ class EvalEngine:
 
     def _remote_dispatcher(self):
         with self._state_lock:
-            if self._remote is None:
-                if self._closed:
-                    raise RuntimeError("EvalEngine is closed")
-                from .service import RemoteDispatcher
-                self._remote = RemoteDispatcher(self.hosts,
-                                                chunk_timeout=self.chunk_timeout,
-                                                degraded=self.degraded)
-            return self._remote
+            if self._remote is not None:
+                return self._remote
+            if self._closed:
+                raise RuntimeError("EvalEngine is closed")
+        # Built outside _state_lock: the private fleet's constructor takes
+        # the fleet's own locks and starts its pump threads.
+        from .service import RemoteDispatcher
+        remote = RemoteDispatcher(self.hosts, chunk_timeout=self.chunk_timeout,
+                                  degraded=self.degraded)
+        with self._state_lock:
+            if self._remote is None and not self._closed:
+                self._remote, remote = remote, None
+            current = self._remote
+        if remote is not None:  # a concurrent caller won, or close() ran
+            remote.close()
+        if current is None:
+            raise RuntimeError("EvalEngine is closed")
+        return current
 
     # -- hot-path reporting ------------------------------------------------
     def hotpath_report(self) -> dict[str, float]:

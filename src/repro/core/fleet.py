@@ -1,17 +1,18 @@
-"""Multi-tenant evaluation control plane: registry, fair scheduler, fleet.
+"""Evaluation control plane: registry, fair scheduler, fleet.
 
-:mod:`repro.core.service` gives one Study a static list of worker hosts.
-This module is the control plane above it — the piece that lets *many*
-concurrent Studies (tenants) share one *elastic* worker fleet, the
-industrial pattern behind DNN-Opt's deployment story (many sizing runs
-against one simulator farm):
+This module holds the tree's one remote chunk scheduler.  It runs the
+``"remote"`` backend — :func:`repro.core.service.RemoteDispatcher` is a
+private, single-tenant :class:`FleetCoordinator` over static hosts — and
+it lets *many* concurrent Studies (tenants) share one *elastic* worker
+fleet, the industrial pattern behind DNN-Opt's deployment story (many
+sizing runs against one simulator farm):
 
 * :class:`WorkerRegistry` — a heartbeat-refreshed table of live worker
   addresses.  Workers started with ``python -m repro.core.service
   --register HOST:PORT`` announce themselves and keep a heartbeat alive;
   an address whose heartbeats stop **ages out** and its in-flight chunks
-  are re-queued.  Addresses may also be pinned statically (the old
-  ``hosts=`` behaviour) for fixed deployments.
+  are re-queued.  Addresses may also be pinned statically (``hosts=``)
+  for fixed deployments.
 * :class:`RegistryServer` — the TCP endpoint workers register against,
   speaking the same length-prefixed JSON frames as the evaluation
   protocol.  It doubles as the fleet's **metrics endpoint**: a ``stats``
@@ -29,15 +30,18 @@ against one simulator farm):
   :class:`~repro.core.service.MultiplexedConnection`, so one worker
   connection interleaves many tenants' requests.
 
-Elasticity and failure semantics follow the service's bounded-failover
-contract: a transport error (or a heartbeat age-out) drops the host,
-re-queues its chunks for the survivors, and counts against a bounded
-per-chunk requeue budget — so losing a worker mid-run is absorbed with
-bit-identical results, while losing *every* worker surfaces as a prompt
-:class:`~repro.core.service.ServiceError` with the failure trail.  A
-worker's own *rejection* of a well-formed request (the evaluation raised)
-aborts only the affected dispatch — deterministic failures are never
-retried onto other shards.
+Failure model (one for every remote path): a transport error (or a
+heartbeat age-out) drops the host, re-queues its chunks for the survivors,
+and counts against a bounded per-chunk requeue budget — so losing a
+worker mid-run is absorbed with bit-identical results.  A worker's own
+*rejection* of a well-formed request (the evaluation raised) aborts only
+the affected dispatch with ``ServiceError("remote evaluation rejected:
+...")`` — deterministic failures are never retried onto other shards.
+Losing *every* worker depends on whether one can still join: a
+coordinator with a registry server (:meth:`FleetCoordinator.listen`) or a
+caller-supplied registry keeps its queue waiting for the next worker,
+while one that only knows static hosts ends its dispatches at once with
+``ServiceError("remote evaluation failed on all hosts: <trail>")``.
 
 On top of that contract this module hardens the failure domain:
 ``chunk_timeout`` arms a per-chunk deadline (a worker that accepts a chunk
@@ -48,9 +52,10 @@ deterministic and cache-deduped); failed hosts are quarantined under
 capped exponential backoff with deterministic jitter instead of a fixed
 retry-after; and a tenant created with ``degraded="local"`` falls back to
 bounded in-process evaluation when the fleet has zero live workers for
-``degraded_after`` seconds.  All recovery paths preserve the bit-identity
-contract below and are pinned under seeded fault injection by
-:mod:`repro.core.chaos` (``tests/core/test_chaos.py``).
+``degraded_after`` seconds, or at once when none can join.  All recovery
+paths preserve the bit-identity contract below and are pinned under
+seeded fault injection by :mod:`repro.core.chaos`
+(``tests/core/test_chaos.py``).
 
 Typical wiring::
 
@@ -80,7 +85,9 @@ a lock here, follow the "Adding a lock" checklist in the README.
 
 from __future__ import annotations
 
+import base64
 import logging
+import pickle
 import threading
 import time
 import weakref
@@ -90,9 +97,9 @@ from itertools import count
 import numpy as np
 
 from .history import BudgetExhausted
-from .service import (PROTOCOL_VERSION, MultiplexedConnection, RemoteDispatcher,
-                      ServiceError, _chunk_ranges, backoff_delay, parse_host,
-                      recv_msg, send_msg)
+from .service import (PROTOCOL_VERSION, MultiplexedConnection, ServiceError,
+                      _chunk_ranges, backoff_delay, parse_host, recv_msg,
+                      send_msg)
 
 __all__ = ["WorkerRegistry", "RegistryServer", "FleetCoordinator"]
 
@@ -104,7 +111,20 @@ _log = logging.getLogger("repro.core.fleet")
 #: deficit round-robin still serves every queued tenant each ring cycle).
 DEADLINE_BOOST_CAP = 16.0
 
-_EvalRejected = RemoteDispatcher._EvalRejected
+
+class _EvalRejected(Exception):
+    """The shard is healthy but refused the request itself."""
+
+
+def _encode_problem(problem) -> str:
+    """Base64 pickle of ``problem`` for a ``put_problem`` frame."""
+    try:
+        return base64.b64encode(
+            pickle.dumps(problem, protocol=pickle.HIGHEST_PROTOCOL)).decode("ascii")
+    except Exception as exc:
+        raise TypeError(
+            f"remote backend requires a picklable problem "
+            f"({type(problem).__name__} failed to pickle: {exc})") from exc
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +311,7 @@ class _DispatchState:
         """Base64 problem pickle, encoded lazily once per dispatch."""
         with self._lock:
             if self._blob is None:
-                self._blob = RemoteDispatcher._encode_problem(self.problem)
+                self._blob = _encode_problem(self.problem)
             return self._blob
 
     def aborted(self) -> bool:
@@ -397,18 +417,27 @@ def _deadline_boost(record: _Tenant, now: float) -> float:
 
 
 class _TenantDispatcher:
-    """The remote-style dispatcher injected into a tenant's engine."""
+    """The remote-style dispatcher injected into a tenant's engine.
 
-    def __init__(self, coordinator: "FleetCoordinator", tenant: str):
+    ``owns_fleet`` marks the sole tenant of a private fleet (the
+    ``remote`` backend): closing it stops the fleet instead of detaching.
+    """
+
+    def __init__(self, coordinator: "FleetCoordinator", tenant: str, *,
+                 owns_fleet: bool = False):
         self._coordinator = coordinator
         self.tenant = tenant
+        self._owns_fleet = owns_fleet
 
     def dispatch(self, problem, token: bytes, X: np.ndarray):
         return self._coordinator._dispatch(self.tenant, problem, token, X)
 
     def close(self) -> None:
-        """Detach the tenant; the shared fleet stays up."""
-        self._coordinator._detach(self.tenant)
+        """Detach the tenant (a shared fleet stays up) or stop a private one."""
+        if self._owns_fleet:
+            self._coordinator.close()
+        else:
+            self._coordinator._detach(self.tenant)
 
 
 # ----------------------------------------------------------------------
@@ -450,6 +479,8 @@ class _HostPump:
             conn, self._conn = self._conn, None
         if conn is not None:
             conn.close()
+        with self.coordinator._cond:  # wake idle slots parked in _next_job
+            self.coordinator._cond.notify_all()
 
     def _connection(self) -> MultiplexedConnection:
         with self._conn_lock:
@@ -477,8 +508,10 @@ class _HostPump:
             except _EvalRejected as exc:
                 # Deterministic rejection: abort only this dispatch, keep
                 # serving — the connection (and the worker) are healthy.
-                coord._job_failed(self, job, f"{self.address}: {exc}",
-                                  fatal=True)
+                coord._job_failed(
+                    self, job,
+                    f"remote evaluation rejected: {self.address}: {exc}",
+                    fatal=True)
                 continue
             except Exception as exc:
                 coord._job_failed(self, job, f"{self.address}: {exc}",
@@ -542,11 +575,16 @@ class FleetCoordinator:
         pipelines the wire round-trip behind the worker's current
         evaluation; the worker itself still evaluates serially.
     poll_interval:
-        How often the watcher reconciles pumps against the registry.
+        How often the watcher reconciles pumps against the registry and
+        sweeps for stragglers.  The watcher only runs when something can
+        change without a local event — a registry server (:meth:`listen`),
+        a caller-supplied ``registry``, or hedging; otherwise pumps are
+        reconciled at construction and by :meth:`add_host`.
     max_chunk_requeues:
-        Failover budget per chunk (default: ``2 ×`` the live host count at
-        requeue time, minimum 2) before the owning dispatch fails with
-        :class:`ServiceError`.
+        Failover budget per chunk before the owning dispatch fails with
+        :class:`ServiceError`; an explicit value is honoured exactly (``0``
+        means no failover).  Default: ``2 ×`` the live host count at
+        requeue time, minimum 2.
     connect_timeout:
         TCP connect timeout towards workers.
     chunk_timeout:
@@ -576,7 +614,8 @@ class FleetCoordinator:
         ``fleet.engine(name, degraded="local")``.
 
     Tenants are created with :meth:`engine`; scheduling is weighted deficit
-    round-robin at chunk granularity (see module docstring).  The
+    round-robin at chunk granularity, under the failure model of the
+    module docstring.  The
     coordinator is in-process: Studies in *this* process share it directly
     (threads), remote observers read :meth:`stats` through the registry
     server's ``stats`` op.
@@ -601,6 +640,8 @@ class FleetCoordinator:
             raise ValueError("chunk_timeout must be > 0 seconds")
         if hedge_factor is not None and hedge_factor <= 1.0:
             raise ValueError("hedge_factor must be > 1.0")
+        # A caller-supplied registry can gain workers behind our back.
+        self._shared_registry = registry is not None
         self.registry = registry or WorkerRegistry(timeout=heartbeat_timeout)
         for host in hosts:
             self.registry.register(host, static=True)
@@ -621,6 +662,7 @@ class FleetCoordinator:
         self._pumps: dict[str, _HostPump] = {}   # guarded by: _cond
         self._quarantine: dict[str, float] = {}  # retry-after per host; guarded by: _cond
         self._failures: dict[str, int] = {}      # failure streaks; guarded by: _cond
+        self._host_errors: dict[str, str] = {}   # why each host failed; guarded by: _cond
         self._running: set[_Job] = set()         # live jobs; guarded by: _cond
         self._latencies: deque[float] = deque(maxlen=512)  # guarded by: _cond
         self._ids = count(1)
@@ -631,9 +673,9 @@ class FleetCoordinator:
         self.n_hedge_discards = 0  # losing copies dropped; guarded by: _cond
         self.n_degraded = 0        # degraded-local answers; guarded by: _cond
         self._sync_pumps()  # static hosts get pumps before the first dispatch
-        self._watcher = threading.Thread(target=self._watch,
-                                         name="fleet-watcher", daemon=True)
-        self._watcher.start()
+        self._watcher: threading.Thread | None = None
+        if self._shared_registry or self.hedge_factor is not None:
+            self._start_watcher()
 
     # -- public surface ----------------------------------------------------
     def listen(self, host: str = "127.0.0.1", port: int = 0) -> RegistryServer:
@@ -641,6 +683,7 @@ class FleetCoordinator:
         if self._server is None:
             self._server = RegistryServer(self.registry, host, port,
                                           stats_source=self)
+            self._start_watcher()
         return self._server
 
     @property
@@ -652,6 +695,7 @@ class FleetCoordinator:
         with self._cond:
             self._quarantine.pop(address, None)
         self.registry.register(address, static=True)
+        self._sync_pumps()
 
     def engine(self, tenant: str | None = None, *, priority: float = 1.0,
                degraded: str | None = None, quota: int | None = None,
@@ -678,6 +722,16 @@ class FleetCoordinator:
         :meth:`stats`.
         """
         from .engine import EvalEngine
+        record = self._attach(tenant, priority, degraded, quota, deadline_s)
+        engine = EvalEngine(dispatcher=_TenantDispatcher(self, record.name),
+                            **engine_kwargs)
+        record.engine_ref = weakref.ref(engine)
+        return engine
+
+    def _attach(self, tenant: str | None, priority: float,
+                degraded: str | None, quota: int | None = None,
+                deadline_s: float | None = None) -> _Tenant:
+        """Register and return a new tenant's scheduler record."""
         if priority <= 0:
             raise ValueError("priority must be > 0")
         if degraded not in (None, "local"):
@@ -700,10 +754,7 @@ class FleetCoordinator:
             self._tenants[name] = record
             if name not in self._order:
                 self._order.append(name)
-        engine = EvalEngine(dispatcher=_TenantDispatcher(self, name),
-                            **engine_kwargs)
-        record.engine_ref = weakref.ref(engine)
-        return engine
+        return record
 
     def stats(self) -> dict:
         """Control-plane metrics: queue depth, per-tenant rates, workers."""
@@ -803,7 +854,8 @@ class FleetCoordinator:
             pump.close()
         if self._server is not None:
             self._server.close()
-        self._watcher.join(timeout=2.0)
+        if self._watcher is not None:
+            self._watcher.join(timeout=2.0)
 
     def __enter__(self) -> "FleetCoordinator":
         return self
@@ -850,7 +902,8 @@ class FleetCoordinator:
         # to register; close() (or a requeue-budget blowout) aborts them.
         # A degraded="local" tenant additionally falls back to bounded
         # in-process evaluation once no worker has shown up (or survived)
-        # for ``degraded_after`` seconds.
+        # for ``degraded_after`` seconds.  When no worker *can* join any
+        # more, the dispatch ends at once instead.
         idle_since: float | None = None
         while not state.event.wait(0.1):
             # Unlocked peek at the monotonic closed flag: a stale False only
@@ -858,11 +911,17 @@ class FleetCoordinator:
             if self._closed:
                 state.abort("fleet coordinator closed")
                 continue
-            if record.degraded != "local":
-                continue
             with self._cond:
                 have_workers = bool(self._pumps)
-            if have_workers:
+                stranded = self._stranded_locked()
+            if stranded is not None:
+                if record.degraded == "local":
+                    self._degrade_locally(record, state)
+                else:
+                    state.abort("remote evaluation failed on all hosts: "
+                                + stranded)
+                continue
+            if record.degraded != "local" or have_workers:
                 idle_since = None
                 continue
             now = time.monotonic()
@@ -874,6 +933,15 @@ class FleetCoordinator:
             raise ServiceError(state.error)
         rows = np.vstack(state.out)
         return rows, dict(state.counters), state.n_sims
+
+    def _stranded_locked(self) -> str | None:  # holds: _cond
+        """The per-host failure trail once the last live host has failed
+        and no worker can join (no registry server or caller registry)."""
+        if (self._pumps or not self._host_errors or self._shared_registry
+                or self._server is not None):
+            return None
+        return "; ".join(f"{address}: {error}" for address, error
+                         in sorted(self._host_errors.items()))
 
     def _degrade_locally(self, record: _Tenant, state: _DispatchState) -> None:
         """Evaluate this dispatch's *queued* chunks in-process (fallback).
@@ -895,8 +963,8 @@ class FleetCoordinator:
         n_designs = sum(job.stop - job.start for job in taken)
         _log.warning(
             "fleet degraded to local evaluation for tenant %r: %d design(s) "
-            "in %d chunk(s), no live workers for %.1fs",
-            record.name, n_designs, len(taken), self.degraded_after)
+            "in %d chunk(s), no live workers", record.name, n_designs,
+            len(taken))
         for job in taken:
             if job.state.aborted() or job.completed:
                 continue
@@ -932,7 +1000,9 @@ class FleetCoordinator:
                 job = self._pick_locked(address)
                 if job is not None:
                     return job
-                self._cond.wait(0.1)
+                # Every event that can make work pickable notifies: enqueue,
+                # requeue, hedge, pump start/stop and close.
+                self._cond.wait()
 
     def _pick_locked(self, address: str | None = None) -> _Job | None:  # holds: _cond
         """Weighted deficit round-robin over the queued tenants.
@@ -1028,6 +1098,7 @@ class FleetCoordinator:
                 if job.started is not None:
                     self._latencies.append(now - job.started)
                 self._failures.pop(pump.address, None)  # host is healthy
+                self._host_errors.pop(pump.address, None)
             else:
                 # A hedge twin (or a late original) already wrote the rows:
                 # discard this reply.  Determinism makes both bit-identical.
@@ -1061,8 +1132,7 @@ class FleetCoordinator:
                 return
             budget = (self.max_chunk_requeues
                       if self.max_chunk_requeues is not None
-                      else 2 * max(1, len(self._pumps)))
-            budget = max(2, budget)
+                      else max(2, 2 * len(self._pumps)))
             if job.requeues > budget:
                 job.state.abort(
                     f"chunk [{job.start}:{job.stop}] abandoned after "
@@ -1087,6 +1157,7 @@ class FleetCoordinator:
         with self._cond:
             if self._pumps.get(pump.address) is pump:
                 del self._pumps[pump.address]
+                self._host_errors[pump.address] = str(exc)  # first cause
             attempt = self._failures.get(pump.address, 0)
             self._failures[pump.address] = attempt + 1
             self._quarantine[pump.address] = (
@@ -1140,6 +1211,12 @@ class FleetCoordinator:
                 self._cond.notify_all()
 
     # -- registry watcher --------------------------------------------------
+    def _start_watcher(self) -> None:
+        if self._watcher is None:
+            self._watcher = threading.Thread(target=self._watch,
+                                             name="fleet-watcher", daemon=True)
+            self._watcher.start()
+
     def _watch(self) -> None:
         # Unlocked peek at the monotonic closed flag: close() joins this
         # thread with a timeout, a stale read costs one poll interval at
@@ -1181,3 +1258,4 @@ class FleetCoordinator:
             pump.close()
         for pump in to_start:
             pump.start()
+

@@ -80,24 +80,11 @@ def _execute_trial(context: tuple, trial: int) -> OptimizationHistory:
     optimizer = factory(problem, budget, base_seed + trial)
     engine = engine_factory() if engine_factory is not None else None
     try:
-        if _is_legacy(optimizer):
-            # Third-party _run()-style optimizers cannot be driven by a
-            # Study (and cannot pipeline or warm-start); keep the historic
-            # blocking path.
-            if engine is not None:
-                optimizer.engine = engine
-            return optimizer.run()
         return Study(optimizer, engine=engine, pipeline_depth=depth,
                      warm_start=warm_start).run()
     finally:
         if engine is not None:
             engine.close()
-
-
-def _is_legacy(optimizer) -> bool:
-    from ..core.history import Optimizer
-    return (isinstance(optimizer, Optimizer)
-            and type(optimizer)._run is not Optimizer._run)
 
 
 def run_trials(factory: OptimizerFactory, problem_factory: Callable[[], object],

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.history import OptimizationHistory, Optimizer
+from repro.core.history import BudgetExhausted, OptimizationHistory, Optimizer
 from repro.problems import ConstrainedSphere, Sphere
 
 
@@ -40,39 +40,35 @@ def test_best_feasible_prefers_objective_over_fom():
     assert history.best_feasible_objective == pytest.approx(2 * 0.6**2)
 
 
+class _Sampler(Optimizer):
+    """Minimal native optimizer: one random design per ask."""
+
+    name = "sampler"
+
+    def _ask(self, k):
+        return self.problem.space.sample(self.rng, 1)
+
+
 def test_optimizer_budget_exhausted_signal():
-    class Greedy(Optimizer):
-        name = "greedy"
-
-        def _run(self):
-            while True:  # relies on the base class stopping it
-                self.evaluate(self.problem.space.sample(self.rng, 1)[0])
-
-    history = Greedy(Sphere(2), 7, seed=0).run()
-    assert history.n_evals == 7
+    opt = _Sampler(Sphere(2), 7, seed=0)
+    with pytest.raises(BudgetExhausted):
+        while True:  # relies on the base class stopping it
+            opt.evaluate(opt.problem.space.sample(opt.rng, 1)[0])
+    assert opt.history.n_evals == 7
+    # the run() shorthand stops at the same budget
+    assert _Sampler(Sphere(2), 7, seed=0).run().n_evals == 7
 
 
 def test_optimizer_rejects_bad_budget():
     with pytest.raises(ValueError):
-        class _X(Optimizer):
-            name = "x"
-
-            def _run(self):
-                pass
-
-        _X(Sphere(2), 0)
+        _Sampler(Sphere(2), 0)
 
 
 def test_simulation_time_accumulates():
-    class OneShot(Optimizer):
-        name = "one"
-
-        def _run(self):
-            self.evaluate(self.problem.space.sample(self.rng, 1)[0])
-
-    history = OneShot(Sphere(2), 3, seed=0).run()
-    assert history.simulation_time >= 0.0
-    assert history.n_evals == 1
+    opt = _Sampler(Sphere(2), 3, seed=0)
+    opt.evaluate(opt.problem.space.sample(opt.rng, 1)[0])
+    assert opt.history.simulation_time >= 0.0
+    assert opt.history.n_evals == 1
 
 
 def test_round_trip_preserves_empty_engine_stats():

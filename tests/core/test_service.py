@@ -480,14 +480,16 @@ def test_degraded_local_finishes_batch_with_no_live_workers():
     X = problem.space.sample(np.random.default_rng(9), 5)
     with EvalEngine("remote", hosts=[dead], degraded="local") as engine:
         F = engine.evaluate_batch(problem, X)
-        assert engine._remote.n_degraded == 5
+        assert engine._remote._coordinator.stats()["degraded_designs"] == 5
     np.testing.assert_array_equal(F, problem.evaluate_batch(X))
 
 
 class _SilentV2Peer:
-    """Accepts connections, answers hello as protocol 2, then goes mute."""
+    """Accepts connections, answers hello (as protocol 2 unless told
+    otherwise), then goes mute."""
 
-    def __init__(self):
+    def __init__(self, protocol=2):
+        self.protocol = protocol
         self._listener = socket.create_server(("127.0.0.1", 0))
         self.addr = self._listener.getsockname()[:2]
         self._stop = threading.Event()
@@ -511,7 +513,7 @@ class _SilentV2Peer:
         try:
             msg = service.recv_msg(conn)
             if msg and msg.get("op") == "hello":
-                service.send_msg(conn, {"ok": True, "protocol": 2})
+                service.send_msg(conn, {"ok": True, "protocol": self.protocol})
             while not self._stop.is_set():  # swallow everything after hello
                 if service.recv_msg(conn) is None:
                     return
@@ -542,7 +544,7 @@ def test_reader_death_fails_every_pending_waiter_promptly():
     peer = _SilentV2Peer()
     try:
         conn = service.MultiplexedConnection(peer.addr)
-        assert conn.multiplexed
+        assert conn.protocol == service.PROTOCOL_VERSION
         outcomes = []
 
         def ask():
@@ -604,7 +606,7 @@ def test_request_deadline_fires_and_late_duplicate_reply_is_discarded():
     thread.start()
     try:
         conn = service.MultiplexedConnection(listener.getsockname()[:2])
-        assert conn.multiplexed
+        assert conn.protocol == service.PROTOCOL_VERSION
         with pytest.raises(service.DeadlineExceeded, match="no reply"):
             conn.request({"op": "slow"}, timeout=0.2)
         # The late reply and its duplicate hit the reader before the next
@@ -617,32 +619,6 @@ def test_request_deadline_fires_and_late_duplicate_reply_is_discarded():
         stop.set()
         listener.close()
         thread.join(timeout=10)
-
-
-def test_v1_deadline_marks_connection_broken():
-    # On a v1 (serialized) connection a timeout desyncs the stream, so the
-    # connection must refuse further use instead of mismatching replies.
-    import base64
-    import pickle
-
-    from repro.problems import LatencyProblem
-
-    worker = _V1Worker()
-    try:
-        problem = LatencyProblem(Sphere(2), 0.5)  # slower than the deadline
-        conn = service.MultiplexedConnection(service.parse_host(worker.address))
-        assert not conn.multiplexed
-        blob = base64.b64encode(pickle.dumps(problem)).decode("ascii")
-        assert conn.request({"op": "put_problem", "token": "ab",
-                             "blob": blob})["ok"]
-        with pytest.raises(service.DeadlineExceeded, match="no reply"):
-            conn.request({"op": "eval", "token": "ab", "X": [[0.0, 0.0]]},
-                         timeout=0.1)
-        with pytest.raises(ConnectionError):  # stream desynced: refuse reuse
-            conn.request({"op": "hello"})
-        conn.close()
-    finally:
-        worker.close()
 
 
 def test_register_loop_survives_registry_restart():
@@ -700,11 +676,20 @@ def test_last_host_death_raises_service_error_promptly():
 
 
 def test_chunk_requeue_budget_is_bounded():
-    dispatcher = service.RemoteDispatcher(["127.0.0.1:1"],
-                                          max_chunk_requeues=0)
-    assert dispatcher.max_chunk_requeues == 0
-    default = service.RemoteDispatcher(["127.0.0.1:1", "127.0.0.1:2"])
-    assert default.max_chunk_requeues == 4  # 2 per configured host
+    # max_chunk_requeues=0 is honoured exactly: the chunk that meets the
+    # dying shard is never re-sent anywhere, the dispatch just fails.
+    worker = _FlakyWorker("die")
+    try:
+        problem = Sphere(2)
+        X = problem.space.sample(np.random.default_rng(4), 4)
+        dispatcher = service.RemoteDispatcher([worker.address],
+                                              max_chunk_requeues=0)
+        with EvalEngine(dispatcher=dispatcher) as engine:
+            with pytest.raises(service.ServiceError):
+                engine.evaluate_batch(problem, X)
+        assert worker.eval_requests == 1
+    finally:
+        worker.close()
 
 
 def test_engine_close_with_inflight_remote_submit_raises_not_hangs():
@@ -732,11 +717,11 @@ def test_closed_dispatcher_refuses_new_work():
     dispatcher = service.RemoteDispatcher(["127.0.0.1:1"])
     dispatcher.close()
     with pytest.raises(service.ServiceError, match="closed"):
-        dispatcher._connection(("127.0.0.1", 1))
+        dispatcher.dispatch(Sphere(2), b"token", np.zeros((2, 2)))
 
 
 # ----------------------------------------------------------------------
-# protocol v2: multiplexing, v1 compat, spawn robustness
+# protocol v2: multiplexing, version check, spawn robustness
 # ----------------------------------------------------------------------
 def test_spawn_local_worker_survives_startup_noise(monkeypatch):
     # Interpreter chatter on the merged stderr/stdout stream used to eat
@@ -766,7 +751,6 @@ def test_v2_connection_answers_stats_while_eval_in_flight(local_server):
     conn = service.MultiplexedConnection((local_server.host, local_server.port))
     try:
         assert conn.protocol == service.PROTOCOL_VERSION
-        assert conn.multiplexed
         engine = EvalEngine()
         token = engine._problem_token(problem).hex()
         engine.close()
@@ -794,87 +778,20 @@ def test_v2_connection_answers_stats_while_eval_in_flight(local_server):
         conn.close()
 
 
-class _V1Worker:
-    """A strict protocol-1 shard: id-less frames, in-order replies."""
-
-    def __init__(self):
-        self._listener = socket.create_server(("127.0.0.1", 0))
-        self.address = "127.0.0.1:%d" % self._listener.getsockname()[1]
-        self._stop = threading.Event()
-        self._problems = {}
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        self._listener.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            threading.Thread(target=self._session, args=(conn,),
-                             daemon=True).start()
-
-    def _session(self, conn):
-        import base64
-        import pickle
-        with conn:
-            while not self._stop.is_set():
-                try:
-                    msg = service.recv_msg(conn)
-                except (ConnectionError, OSError, ValueError):
-                    return
-                if msg is None:
-                    return
-                op = msg.get("op")
-                if op == "hello":
-                    reply = {"ok": True, "protocol": 1}
-                elif op == "put_problem":
-                    self._problems[msg["token"]] = pickle.loads(
-                        base64.b64decode(msg["blob"]))
-                    reply = {"ok": True}
-                elif op == "eval":
-                    problem = self._problems.get(msg["token"])
-                    if problem is None:
-                        reply = {"ok": False, "need_problem": True,
-                                 "error": "unknown token"}
-                    else:
-                        F = [np.asarray(problem.evaluate(np.asarray(x)),
-                                        dtype=np.float64).tolist()
-                             for x in msg["X"]]
-                        reply = {"ok": True, "F": F, "counters": {},
-                                 "n_sims": len(F)}
-                else:
-                    reply = {"ok": False, "error": "unknown op"}
-                # protocol 1: never echo an id, reply strictly in order
-                try:
-                    service.send_msg(conn, reply)
-                except OSError:
-                    return
-
-    def close(self):
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-
-def test_v1_worker_compat_handshake_and_dispatch():
-    # A v2 coordinator against a protocol-1 shard drops to serialized
-    # request/reply at the hello handshake and still evaluates correctly.
-    worker = _V1Worker()
+def test_protocol_v1_hello_is_refused():
+    # Only protocol-2 peers are spoken to: a worker whose hello answers
+    # protocol 1 is refused at connect time, and the remote backend fails
+    # fast on it instead of hanging.
+    peer = _SilentV2Peer(protocol=1)
     try:
-        conn = service.MultiplexedConnection(service.parse_host(worker.address))
-        assert conn.protocol == 1
-        assert not conn.multiplexed
-        conn.close()
+        with pytest.raises(ConnectionError, match="bad hello"):
+            service.MultiplexedConnection(peer.addr)
         problem = Sphere(3)
         X = problem.space.sample(np.random.default_rng(2), 7)
-        with EvalEngine("remote", hosts=[worker.address]) as engine:
-            np.testing.assert_array_equal(engine.evaluate_batch(problem, X),
-                                          problem.evaluate_batch(X))
+        host = "%s:%d" % peer.addr
+        with EvalEngine("remote", hosts=[host]) as engine:
+            with pytest.raises(service.ServiceError,
+                               match="failed on all hosts.*bad hello"):
+                engine.evaluate_batch(problem, X)
     finally:
-        worker.close()
+        peer.close()

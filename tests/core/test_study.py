@@ -150,11 +150,6 @@ def test_budget_exhausted_public_direct_call():
     assert opt.history.n_evals == 3
 
 
-def test_budget_exhausted_aliases_old_private_name():
-    assert Optimizer._BudgetExhausted is BudgetExhausted
-    assert isinstance(BudgetExhausted(), Exception)
-
-
 def test_stop_when_feasible_direct_call_raises():
     problem = ConstrainedSphere(2)
     opt = RandomSearch(problem, 50, 0, stop_when_feasible=True)
