@@ -778,10 +778,10 @@ def test_v2_connection_answers_stats_while_eval_in_flight(local_server):
         conn.close()
 
 
-def test_protocol_v1_hello_is_refused():
-    # Only protocol-2 peers are spoken to: a worker whose hello answers
-    # protocol 1 is refused at connect time, and the remote backend fails
-    # fast on it instead of hanging.
+def test_v1_worker_compat_handshake_and_dispatch():
+    # Protocol-1 workers are no longer spoken to: a worker whose hello
+    # answers protocol 1 is refused at connect time, and the remote backend
+    # fails fast on it instead of hanging.
     peer = _SilentV2Peer(protocol=1)
     try:
         with pytest.raises(ConnectionError, match="bad hello"):
@@ -795,3 +795,37 @@ def test_protocol_v1_hello_is_refused():
                 engine.evaluate_batch(problem, X)
     finally:
         peer.close()
+
+
+def test_v1_deadline_marks_connection_broken():
+    # A serialized protocol-1 stream could be desynced by a request
+    # deadline; now no such connection is ever made.  The refusal is
+    # immediate (no deadline to wait out) and closes the socket, so the
+    # peer sees a clean EOF rather than a half-used stream.
+    import time
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(10)
+    seen = {}
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(10)
+            seen["hello"] = service.recv_msg(conn)
+            service.send_msg(conn, {"ok": True, "protocol": 1})
+            seen["after"] = service.recv_msg(conn)   # None on clean EOF
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(ConnectionError, match="bad hello"):
+            service.MultiplexedConnection(listener.getsockname()[:2],
+                                          connect_timeout=5.0)
+        assert time.perf_counter() - t0 < 2.0
+        thread.join(10)
+        assert not thread.is_alive()
+        assert seen["hello"]["op"] == "hello"
+        assert seen["after"] is None
+    finally:
+        listener.close()
