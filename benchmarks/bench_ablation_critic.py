@@ -11,7 +11,7 @@ import numpy as np
 
 from repro.core import Critic, generate_pseudo_samples
 from repro.experiments import render_table
-from repro.nn import MLP, Adam, StandardScaler, Tensor, mse_loss
+from repro.nn import MLP, Adam, StandardScaler, mse_value_and_grad
 from repro.problems import Ackley, Hartmann6, Rosenbrock, Sphere
 
 PROBLEMS = {"sphere": Sphere, "rosenbrock": Rosenbrock,
@@ -25,12 +25,11 @@ def _fit_plain_net(Xn, Yn, rng):
     net = MLP(Xn.shape[1], Yn.shape[1], (64, 64), rng=rng)
     scaler = StandardScaler()
     targets = scaler.fit_transform(Yn)
-    optimizer = Adam(net.parameters(), lr=1e-3)
+    optimizer = Adam([net.flat_parameter()], lr=1e-3)
     for _ in range(200):
-        prediction = net(Tensor(Xn))
-        loss = mse_loss(prediction, Tensor(targets))
-        optimizer.zero_grad()
-        loss.backward()
+        activations = net.forward_array(Xn)
+        _, grad = mse_value_and_grad(activations[-1], targets)
+        net.vjp(activations, grad, wrt_input=False)
         optimizer.step()
     return lambda X: scaler.inverse_transform(net.predict(X))
 

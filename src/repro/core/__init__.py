@@ -5,7 +5,7 @@ from .actor import Actor
 from .critic import Critic
 from .dnn_opt import DNNOpt
 from .engine import EvalEngine, EvalHandle, default_workers
-from .fom import fom_from_raw, fom_normalized, fom_tensor
+from .fom import fom_from_raw, fom_normalized, fom_tensor, fom_vjp
 from .history import BudgetExhausted, OptimizationHistory, Optimizer
 from .pseudo import generate_pseudo_samples
 from .study import Study
@@ -35,6 +35,7 @@ __all__ = [
     "fom_normalized",
     "fom_from_raw",
     "fom_tensor",
+    "fom_vjp",
     "generate_pseudo_samples",
 ]
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import MLP, Adam, Tensor, concatenate, maximum
+from ..nn import MLP, Adam
 from .critic import Critic
-from .fom import fom_tensor
+from .fom import fom_normalized, fom_vjp
 
 __all__ = ["Actor"]
 
@@ -61,32 +61,30 @@ class Actor:
             batch.append(np.clip(anchors + jitter, 0.0, 1.0))
         x_train = np.vstack(batch)
 
-        critic_params = critic.net.parameters()
-        frozen = [p.requires_grad for p in critic_params]
-        for p in critic_params:
-            p.requires_grad = False
-        try:
-            optimizer = Adam(self.net.parameters(), lr=self.lr)
-            x_const = Tensor(x_train)
-            lb_t = Tensor(lb_rest.reshape(1, -1))
-            ub_t = Tensor(ub_rest.reshape(1, -1))
-            last = np.inf
-            for _ in range(self.epochs):
-                dx = self.net(x_const) * self.step_scale
-                prediction = critic.forward_tensor(concatenate([x_const, dx], axis=1))
-                g = fom_tensor(prediction, w0, weights)
-                moved = x_const + dx
-                viol = maximum(lb_t - moved, 0.0) + maximum(moved - ub_t, 0.0)
-                penalty = ((viol * lam) ** 2).sum(axis=1)
-                loss = (g + penalty).mean()
-                optimizer.zero_grad()
-                loss.backward()
-                optimizer.step()
-                last = loss.item()
-        finally:
-            for p, flag in zip(critic_params, frozen):
-                p.requires_grad = flag
-        return float(last)
+        critic._check_trained()
+        optimizer = Adam([self.net.flat_parameter()], lr=self.lr)
+        n = len(x_train)
+        grad_rows = np.full(n, 1.0 / n)  # cotangent of each row's g + penalty
+        last = np.inf
+        for _ in range(self.epochs):
+            activations = self.net.forward_array(x_train)
+            dx = activations[-1] * self.step_scale
+            critic_activations = critic.net.forward_array(np.concatenate([x_train, dx], axis=1))
+            prediction = critic.target_scaler.inverse_transform(critic_activations[-1])
+            below = lb_rest.reshape(1, -1) - (x_train + dx)
+            above = (x_train + dx) - ub_rest.reshape(1, -1)
+            lam_viol = (np.maximum(below, 0.0) + np.maximum(above, 0.0)) * lam
+            g = fom_normalized(prediction, w0, weights)
+            last = float((g + (lam_viol**2.0).sum(axis=1)).sum() * (1.0 / n))
+            # Backward: L's autograd graph op for op, so bit-identical (x**1.0 == x).
+            grad_viol = ((grad_rows[:, None] * 2.0) * lam_viol) * lam
+            grad_pred = fom_vjp(prediction, w0, weights, grad_rows) * critic.target_scaler.scale_
+            grad_input = critic.net.vjp(critic_activations, grad_pred, wrt_params=False)
+            grad_dx = (grad_viol * (above >= 0.0) - grad_viol * (below >= 0.0)
+                       + grad_input[:, self.dim:])
+            self.net.vjp(activations, grad_dx * self.step_scale, wrt_input=False)
+            optimizer.step()
+        return last
 
     def propose(self, x: np.ndarray) -> np.ndarray:
         """Proposed displacement ``dx`` for each design row of ``x``."""

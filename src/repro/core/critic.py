@@ -3,15 +3,15 @@
 The critic is an MLP mapping the 2d-dimensional ``[x, dx]`` input to the
 ``m+1`` normalized performance predictions.  Targets are z-scored before
 training (heterogeneous specs would otherwise dominate the joint MSE) and
-un-scaled on prediction; the same affine un-scaling is applied inside the
-autograd graph during actor training so FoM gradients are exact.
+un-scaled on prediction; actor training differentiates through the same
+affine un-scaling (hand-written VJPs) so FoM gradients are exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import MLP, Adam, StandardScaler, Tensor, mse_loss
+from ..nn import MLP, Adam, StandardScaler, Tensor, mse_value_and_grad
 
 __all__ = ["Critic"]
 
@@ -40,8 +40,10 @@ class Critic:
         if inputs.shape[1] != 2 * self.dim:
             raise ValueError(f"critic expects {2 * self.dim} input features, "
                              f"got {inputs.shape[1]}")
+        if targets.shape != (len(inputs), self.num_outputs):
+            raise ValueError(f"targets {targets.shape}, expected {(len(inputs), self.num_outputs)}")
         scaled = self.target_scaler.fit_transform(targets)
-        optimizer = Adam(self.net.parameters(), lr=self.lr)
+        optimizer = Adam([self.net.flat_parameter()], lr=self.lr)
         n = len(inputs)
         batch = min(self.batch_size, n)
         last_loss = np.inf
@@ -50,12 +52,11 @@ class Critic:
             losses = []
             for start in range(0, n, batch):
                 rows = order[start:start + batch]
-                prediction = self.net(Tensor(inputs[rows]))
-                loss = mse_loss(prediction, Tensor(scaled[rows]))
-                optimizer.zero_grad()
-                loss.backward()
+                activations = self.net.forward_array(inputs[rows])
+                loss, grad = mse_value_and_grad(activations[-1], scaled[rows])
+                self.net.vjp(activations, grad, wrt_input=False)
                 optimizer.step()
-                losses.append(loss.item())
+                losses.append(loss)
             last_loss = float(np.mean(losses))
         self._trained = True
         return last_loss
@@ -69,7 +70,7 @@ class Critic:
         return self.target_scaler.inverse_transform(scaled)
 
     def forward_tensor(self, x_dx: Tensor) -> Tensor:
-        """Differentiable forward pass returning *unscaled* predictions."""
+        """Autograd forward pass returning *unscaled* predictions (test reference)."""
         self._check_trained()
         scaled = self.net(x_dx)
         return scaled * self.target_scaler.scale_ + self.target_scaler.mean_

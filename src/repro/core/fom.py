@@ -5,9 +5,11 @@
 operating on *normalized* performance rows (objective divided by its
 reference scale, constraints in the ``fi <= 0`` violation form).  The
 ``max`` clip equates all designs once a constraint is met; the ``min`` clip
-stops one badly-violated constraint from dominating.  Both a NumPy version
-(ranking, selection, curves) and an autograd version (the actor's training
-loss, Eq. 5) are provided — they compute the same function.
+stops one badly-violated constraint from dominating.  The NumPy version
+serves ranking, selection, curves and the actor's training loss (Eq. 5),
+whose gradient is the hand-written :func:`fom_vjp`.  The autograd version
+:func:`fom_tensor` computes the same function and is the reference that
+:func:`fom_vjp` is tested against, bit for bit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from ..nn import Tensor
 
-__all__ = ["fom_normalized", "fom_from_raw", "fom_tensor"]
+__all__ = ["fom_normalized", "fom_from_raw", "fom_vjp", "fom_tensor"]
 
 
 def fom_normalized(Fn: np.ndarray, w0: float, weights: np.ndarray) -> np.ndarray:
@@ -35,6 +37,28 @@ def fom_from_raw(problem: Any, F_raw: np.ndarray) -> np.ndarray:
     """FoM directly from raw performance rows of ``problem``."""
     Fn = np.atleast_2d(problem.normalize(F_raw))
     return fom_normalized(Fn, problem.objective.weight, problem.constraint_weights())
+
+
+def fom_vjp(Fn: np.ndarray, w0: float, weights: np.ndarray,
+            grad: np.ndarray) -> np.ndarray:
+    """Vector-Jacobian product of :func:`fom_normalized` at rows ``Fn``.
+
+    ``grad`` is the cotangent of the ``(n,)`` FoM values; returns the
+    ``(n, m+1)`` cotangent of ``Fn``.  Like :func:`fom_tensor`, the objective
+    term passes gradient everywhere and each constraint term only while
+    ``0 <= wi fi <= 1`` (the clip's subgradient); the expressions mirror the
+    autograd graph's, so both give the same bits.
+    """
+    Fn = np.atleast_2d(np.asarray(Fn, dtype=np.float64))
+    column = np.asarray(grad, dtype=np.float64).reshape(-1, 1)
+    out = np.zeros_like(Fn)
+    out[:, :1] += column * w0
+    if Fn.shape[1] > 1:
+        weights_row = np.asarray(weights, dtype=np.float64).reshape(1, -1)
+        scaled = Fn[:, 1:] * weights_row
+        active = (scaled >= 0.0) & (scaled <= 1.0)
+        out[:, 1:] += (column * active) * weights_row
+    return out
 
 
 def fom_tensor(prediction: Tensor, w0: float, weights: np.ndarray) -> Tensor:

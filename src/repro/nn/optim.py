@@ -1,4 +1,9 @@
-"""Gradient-based optimizers for :mod:`repro.nn` modules."""
+"""Gradient-based optimizers for :mod:`repro.nn` modules.
+
+Both update each parameter's array in place, so parameters that are views
+into a flat vector (:class:`repro.nn.MLP`) stay views; stepping the single
+``MLP.flat_parameter()`` updates a whole network in one vectorised call.
+"""
 
 from __future__ import annotations
 
@@ -40,7 +45,7 @@ class SGD(Optimizer):
                 continue
             velocity *= self.momentum
             velocity -= self.lr * param.grad
-            param.data = param.data + velocity
+            param.data += velocity
 
 
 class Adam(Optimizer):
@@ -72,4 +77,4 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

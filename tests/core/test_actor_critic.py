@@ -35,6 +35,16 @@ class TestCritic:
         with pytest.raises(ValueError):
             critic.fit(np.zeros((4, 5)), np.zeros((4, 1)))
 
+    def test_target_columns_validated(self):
+        critic = Critic(3, 4, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="targets"):
+            critic.fit(np.zeros((50, 6)), np.zeros((50, 1)))
+
+    def test_target_rows_validated(self):
+        critic = Critic(3, 2, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="targets"):
+            critic.fit(np.zeros((10, 6)), np.zeros((12, 2)))
+
     def test_forward_tensor_matches_predict(self):
         from repro.nn import Tensor
 
