@@ -4,14 +4,17 @@ Every optimizer in this package funnels its simulator queries through an
 :class:`EvalEngine`.  The engine owns two orthogonal concerns:
 
 * **dispatch** — how a batch of designs is turned into performance rows.
-  Five backends are provided: ``serial`` (in-process loop, the default),
+  Four backends are provided: ``serial`` (in-process loop, the default),
   ``thread`` (a :class:`~concurrent.futures.ThreadPoolExecutor`; useful when
   the simulator releases the GIL or blocks on I/O), ``process`` (a process
-  pool; true CPU parallelism for the pure-python SPICE engine), ``async``
-  (an asyncio dispatcher with bounded concurrency and work-stealing
-  chunking — see :mod:`repro.core.service`), and ``remote`` (a coordinator
-  speaking a length-prefixed JSON socket protocol to worker server
-  processes on one or many hosts).
+  pool; true CPU parallelism for the pure-python SPICE engine), and
+  ``remote`` (a coordinator speaking a length-prefixed JSON socket protocol
+  to worker server processes on one or many hosts — see
+  :mod:`repro.core.service`).  The pools are fed *work-stealing* chunks
+  (:func:`_chunk_ranges`, ~4 small chunks per worker, shared with the
+  fleet scheduler): an idle worker takes the next chunk from the pool's
+  queue, so a straggling simulation only holds back its own chunk instead
+  of one fixed ``1/workers`` share of the batch.
 * **memoization** — a content-hashed LRU cache keyed on the *canonical*
   design vector bytes (``DesignSpace.canonical``: rounded, signed zeros
   normalized), so re-querying an already-simulated sizing (duplicates from
@@ -39,15 +42,19 @@ bit-identical no matter which backend ran the batch — the determinism and
 regression tests in ``tests/core/test_eval_engine.py`` and
 ``tests/core/test_service.py`` pin this contract.
 
-Two evaluation entry points share the cache and dispatch machinery:
+Two evaluation entry points share one claim/simulate core:
 :meth:`EvalEngine.evaluate_batch` blocks until the rows are back, while the
-:meth:`EvalEngine.submit` / :meth:`EvalEngine.gather` pair is non-blocking —
-``submit`` resolves cache hits synchronously, ships the misses to a
-background dispatch thread, and returns an :class:`EvalHandle`; ``gather``
-blocks on the handle.  Overlapping submits de-duplicate against each other
-through an in-flight registry (a design pending in one batch is never
-re-simulated by a later batch), which is what lets ``Study(pipeline_depth=d)``
-keep ``d`` batches in flight without wasting simulations.
+:meth:`EvalEngine.submit` / :meth:`EvalEngine.gather` pair is non-blocking.
+Both first *claim* the batch — cache hits and designs already in flight
+are resolved, the remaining designs are registered in flight — under one
+lock hold, then *simulate* the claimed designs: ``evaluate_batch`` on the
+caller's thread, ``submit`` on a background dispatch thread (it returns an
+:class:`EvalHandle`; ``gather`` blocks on the handle).  Because both
+register in the same in-flight registry, a design pending in one batch is
+never re-simulated by a later batch, which is what lets
+``Study(pipeline_depth=d)`` keep ``d`` batches in flight without wasting
+simulations.  A closed engine still answers cache hits but refuses any
+design that would need the simulator.
 
 Problems are identified by a *content fingerprint* (a hash of their pickle)
 rather than object identity: two fresh-but-identical instances — the
@@ -73,6 +80,7 @@ import weakref
 from collections import OrderedDict
 from concurrent.futures import (CancelledError, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor)
+from functools import partial
 from itertools import count
 from time import perf_counter
 
@@ -95,15 +103,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CHUNK_TIMEOUT_ENV = "REPRO_CHUNK_TIMEOUT"
 
 
-def _spice_counters():
-    """The simulator's process-global counters (None when spice is absent)."""
-    try:
-        from repro.spice import profile
-    except ImportError:  # pragma: no cover - spice is a hard dep in practice
-        return None
-    return profile
-
-BACKENDS = ("serial", "thread", "process", "async", "remote")
+BACKENDS = ("serial", "thread", "process", "remote")
 
 # Problem handed to process-pool workers through the initializer (or, under
 # fork, inherited directly from the parent's memory at pool creation).
@@ -122,11 +122,17 @@ def _eval_chunk(X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
     chunk, so the parent engine's :meth:`EvalEngine.hotpath_report` reflects
     work done inside the pool.
     """
-    profile = _spice_counters()
-    before = profile.snapshot() if profile is not None else None
+    from repro.spice import profile  # lazy: ``import repro`` stays light
+    before = profile.snapshot()
     rows = np.vstack([_WORKER_PROBLEM.evaluate(x) for x in X])
-    deltas = profile.delta(before) if profile is not None else {}
-    return rows, {name: value for name, value in deltas.items() if value}
+    return rows, {name: value for name, value in profile.delta(before).items()
+                  if value}
+
+
+def _chunk_ranges(n: int, n_consumers: int, granularity: int = 4):
+    """Work-stealing chunk bounds: ~``granularity`` chunks per consumer."""
+    size = max(1, n // max(1, n_consumers * granularity))
+    return [(start, min(start + size, n)) for start in range(0, n, size)]
 
 
 def default_workers() -> int:
@@ -165,7 +171,7 @@ class EvalEngine:
     Parameters
     ----------
     backend:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"async"`` | ``"remote"``.
+        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"remote"``.
     workers:
         Pool size for the parallel backends (default: visible CPU count).
     cache_size:
@@ -269,7 +275,6 @@ class EvalEngine:
         self._anon_tokens = count()
         self._executor = None          # guarded by: _state_lock
         self._executor_token: bytes | None = None  # pool's problem; guarded by: _state_lock
-        self._async = None             # guarded by: _state_lock
         self._remote = dispatcher      # guarded by: _state_lock
         # Non-blocking submit/gather machinery: a small thread pool runs the
         # dispatches, ``_inflight`` maps each pending design's cache key to
@@ -303,7 +308,10 @@ class EvalEngine:
         previously that ordering could deadlock ``close()`` and leave
         ``gather()`` hanging forever on a dead service.  Batches that were
         queued but not yet started are cancelled, and their ``gather``
-        raises too.  A closed engine rejects further :meth:`submit` calls.
+        raises too.  A closed engine still answers cache hits, but any
+        design that would need the simulator raises ``RuntimeError`` —
+        from :meth:`evaluate_batch` and :meth:`submit` alike — so nothing
+        rebuilds a worker pool that would then outlive the engine.
         """
         # Swap every handle out under the lock (concurrent close()/dispatch
         # calls then agree on one owner per handle), but run the blocking
@@ -312,11 +320,8 @@ class EvalEngine:
         # deadlock.
         with self._state_lock:
             self._closed = True
-            async_d, self._async = self._async, None
             remote, self._remote = self._remote, None
             submit, self._submit_executor = self._submit_executor, None
-        if async_d is not None:
-            async_d.close()
         if remote is not None:
             remote.close()
         if submit is not None:
@@ -381,10 +386,9 @@ class EvalEngine:
         the same integer design always share one cache/dedup entry.
         Duplicate designs within one batch are simulated once (cache enabled
         or not), and a design already in flight from an outstanding
-        :meth:`submit` is *waited for*, never re-simulated — the blocking
-        path goes through the same in-flight registry as the pipelined one
-        (previously it raced a concurrent submit of the same design into a
-        second simulation whose result clobbered the first in the cache).
+        :meth:`submit` is *waited for*, never re-simulated: the blocking
+        path claims its designs through the same in-flight registry as the
+        pipelined one, then simulates them on the caller's thread.
 
         Scenario wrappers (:mod:`repro.scenarios`) are recognized by their
         ``scenario_evaluate`` hook and fan each design out to per-variant
@@ -394,73 +398,24 @@ class EvalEngine:
         fan = getattr(problem, "scenario_evaluate", None)
         if fan is not None:
             return fan(self, X)
-        X = problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        token = self._problem_token(problem)
-        keys = [self._key(token, x) for x in X]
+        # _claim calls run_here at most once, under _state_lock; the claimed
+        # job then runs below, on the caller's thread, with the lock free.
+        claimed: list[tuple] = []
 
-        # Resolve cache hits, in-batch duplicates and in-flight twins before
-        # dispatching; register our own pending designs so a concurrent
-        # submit() dedups against this blocking batch too.
-        key_to_row: dict[bytes, np.ndarray] = {}
-        waits: dict[bytes, object] = {}
-        pending_keys: list[bytes] = []
-        pending_rows: list[np.ndarray] = []
-        own_future: Future | None = None
-        with self._state_lock:
-            for key, x in zip(keys, X):
-                if key in key_to_row or key in waits:
-                    self.n_dedup += 1
-                    continue
-                cached = self._cache_get(key)
-                if cached is not None:
-                    key_to_row[key] = cached
-                    self.n_cache_hits += 1
-                    continue
-                inflight = self._inflight.get(key)
-                if inflight is not None:
-                    waits[key] = inflight
-                    self.n_dedup += 1
-                    continue
-                key_to_row[key] = None  # placeholder, filled after dispatch
-                pending_keys.append(key)
-                pending_rows.append(x)
-            if pending_rows:
-                own_future = Future()
-                own_future.set_running_or_notify_cancel()
-                for key in pending_keys:
-                    self._inflight[key] = own_future
+        def run_here(job) -> Future:
+            future: Future = Future()
+            future.set_running_or_notify_cancel()
+            claimed.append((job, future))
+            return future
 
-        if pending_rows:
-            profile = _spice_counters()
-            before = profile.snapshot() if profile is not None else None
-            t0 = perf_counter()
+        handle = self._claim(problem, X, run_here)
+        for job, future in claimed:
             try:
-                fresh = self._dispatch(problem, np.asarray(pending_rows), token)
+                future.set_result(job())
             except BaseException as exc:
-                with self._state_lock:
-                    for key in pending_keys:
-                        self._inflight.pop(key, None)
-                own_future.set_exception(exc)
+                future.set_exception(exc)  # concurrent waiters see it too
                 raise
-            elapsed = perf_counter() - t0
-            with self._state_lock:
-                self.dispatch_seconds += elapsed
-                if before is not None:
-                    for name, value in profile.delta(before).items():
-                        self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
-                self.n_sim_calls += len(pending_rows)
-                durable = self._durable(token)
-                for key, row in zip(pending_keys, fresh):
-                    key_to_row[key] = row
-                    self._cache_put(key, row, durable)
-                    self._inflight.pop(key, None)
-            own_future.set_result(dict(zip(pending_keys, fresh)))
-
-        for key, future in waits.items():
-            # Designs owned by a concurrent submit: block for *its* rows.
-            key_to_row[key] = future.result()[key]
-
-        return np.vstack([key_to_row[key] for key in keys])
+        return self._rows(handle)
 
     # -- non-blocking evaluation -------------------------------------------
     def submit(self, problem, X: np.ndarray) -> EvalHandle:
@@ -487,38 +442,8 @@ class EvalEngine:
         fan = getattr(problem, "scenario_submit", None)
         if fan is not None:
             return fan(self, X)
-        X = problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        token = self._problem_token(problem)
-        keys = [self._key(token, x) for x in X]
-        resolved: dict[bytes, np.ndarray] = {}
-        waits: dict[bytes, object] = {}
-        pending_keys: list[bytes] = []
-        pending_rows: list[np.ndarray] = []
-        with self._state_lock:
-            for key, x in zip(keys, X):
-                if key in resolved or key in waits or key in pending_keys:
-                    self.n_dedup += 1
-                    continue
-                cached = self._cache_get(key)
-                if cached is not None:
-                    resolved[key] = cached
-                    self.n_cache_hits += 1
-                    continue
-                inflight = self._inflight.get(key)
-                if inflight is not None:
-                    waits[key] = inflight
-                    self.n_dedup += 1
-                    continue
-                pending_keys.append(key)
-                pending_rows.append(x)
-            if pending_rows:
-                future = self._submit_pool().submit(
-                    self._run_submitted, problem, np.asarray(pending_rows),
-                    token, tuple(pending_keys))
-                for key in pending_keys:
-                    self._inflight[key] = future
-                    waits[key] = future
-        return EvalHandle(keys, resolved, waits)
+        return self._claim(problem, X,
+                           lambda job: self._submit_pool().submit(job))
 
     def gather(self, handle) -> np.ndarray:
         """Rows for a submitted batch, in input order (blocks until done).
@@ -533,21 +458,58 @@ class EvalEngine:
         """
         if not isinstance(handle, EvalHandle):
             return handle.gather(self)
-        rows = dict(handle.resolved)
-        for key, future in handle.waits.items():
-            try:
-                rows[key] = future.result()[key]
-            except CancelledError:
-                raise RuntimeError(
-                    "EvalEngine was closed while the submitted batch was "
-                    "still pending") from None
-        return np.vstack([rows[key] for key in handle.keys])
+        return self._rows(handle)
 
-    def _run_submitted(self, problem, X: np.ndarray, token: bytes,
-                       keys: tuple[bytes, ...]) -> dict[bytes, np.ndarray]:
-        """Background-thread body of one submit: dispatch + bookkeeping."""
-        profile = _spice_counters()
-        before = profile.snapshot() if profile is not None else None
+    # -- the claim/simulate core -------------------------------------------
+    def _claim(self, problem, X: np.ndarray, make_future) -> EvalHandle:
+        """Resolve a batch against the cache and the in-flight registry.
+
+        Under one ``_state_lock`` hold: cache hits are answered, in-batch
+        twins and designs already in flight are deduplicated, and the rest
+        are registered in flight under the future ``make_future(job)``
+        returns — ``job`` is the zero-argument :meth:`_simulate` call for
+        those designs, which the future's owner must run.  A closed engine
+        raises ``RuntimeError`` for a batch that needs the simulator, so no
+        worker pool is ever rebuilt after :meth:`close`.
+        """
+        X = problem.space.canonical(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+        token = self._problem_token(problem)
+        keys = [self._key(token, x) for x in X]
+        resolved: dict[bytes, np.ndarray] = {}
+        waits: dict[bytes, Future] = {}
+        pending: dict[bytes, np.ndarray] = {}
+        with self._state_lock:
+            for key, x in zip(keys, X):
+                if key in resolved or key in waits or key in pending:
+                    self.n_dedup += 1
+                    continue
+                cached = self._cache_get(key)
+                if cached is not None:
+                    resolved[key] = cached
+                    self.n_cache_hits += 1
+                    continue
+                inflight = self._inflight.get(key)
+                if inflight is not None:
+                    waits[key] = inflight
+                    self.n_dedup += 1
+                    continue
+                pending[key] = x
+            if pending:
+                if self._closed:
+                    raise RuntimeError("EvalEngine is closed")
+                future = make_future(partial(
+                    self._simulate, problem, np.asarray(list(pending.values())),
+                    token, tuple(pending)))
+                for key in pending:
+                    self._inflight[key] = future
+                    waits[key] = future
+        return EvalHandle(keys, resolved, waits)
+
+    def _simulate(self, problem, X: np.ndarray, token: bytes,
+                  keys: tuple[bytes, ...]) -> dict[bytes, np.ndarray]:
+        """Dispatch claimed designs, then cache them and leave the in-flight set."""
+        from repro.spice import profile  # lazy: ``import repro`` stays light
+        before = profile.snapshot()
         t0 = perf_counter()
         try:
             fresh = self._dispatch(problem, X, token)
@@ -559,9 +521,7 @@ class EvalEngine:
         elapsed = perf_counter() - t0
         with self._state_lock:
             self.dispatch_seconds += elapsed
-            if before is not None:
-                for name, value in profile.delta(before).items():
-                    self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
+            self._fold_locked(profile.delta(before))
             self.n_sim_calls += len(X)
             durable = self._durable(token)
             for key, row in zip(keys, fresh):
@@ -569,9 +529,24 @@ class EvalEngine:
                 self._inflight.pop(key, None)
         return dict(zip(keys, fresh))
 
+    @staticmethod
+    def _rows(handle: EvalHandle) -> np.ndarray:
+        """Block for a claimed batch's rows, in input order."""
+        rows = dict(handle.resolved)
+        for key, future in handle.waits.items():
+            try:
+                rows[key] = future.result()[key]
+            except CancelledError:
+                raise RuntimeError(
+                    "EvalEngine was closed while the submitted batch was "
+                    "still pending") from None
+        return np.vstack([rows[key] for key in handle.keys])
+
+    def _fold_locked(self, counters: dict[str, float]) -> None:  # holds: _state_lock
+        for name, value in counters.items():
+            self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
+
     def _submit_pool(self) -> ThreadPoolExecutor:  # holds: _state_lock
-        if self._closed:
-            raise RuntimeError("EvalEngine is closed")
         if self._submit_executor is None:
             self._submit_executor = ThreadPoolExecutor(
                 max_workers=max(4, self.workers),
@@ -712,16 +687,16 @@ class EvalEngine:
             rows, counters, n_sims = self._remote_dispatcher().dispatch(
                 problem, token, X)
             with self._state_lock:  # overlapping submits fold concurrently
-                for name, value in counters.items():
-                    self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
+                self._fold_locked(counters)
                 self.worker_sim_calls += n_sims
             return rows
         if self.backend == "serial" or len(X) == 1:
             return np.vstack([problem.evaluate(x) for x in X])
-        if self.backend == "async":
-            return self._async_dispatcher().dispatch(problem, X)
-        chunks = np.array_split(X, min(len(X), self.workers))
-        chunks = [c for c in chunks if len(c)]
+        # Many small contiguous chunks: idle pool workers take the next one
+        # from the executor's queue (work stealing), and map() hands the
+        # results back in chunk order, so rows stay in input order.
+        chunks = [X[start:stop]
+                  for start, stop in _chunk_ranges(len(X), self.workers)]
         if self.backend == "thread":
             executor = self._thread_executor()
             return np.vstack(list(executor.map(
@@ -738,8 +713,7 @@ class EvalEngine:
         for chunk_rows, deltas in executor.map(_eval_chunk, chunks):
             rows.append(chunk_rows)
             with self._state_lock:  # overlapping submits fold concurrently
-                for name, value in deltas.items():
-                    self.phase_counters[name] = self.phase_counters.get(name, 0.0) + value
+                self._fold_locked(deltas)
         return np.vstack(rows)
 
     def _thread_executor(self) -> ThreadPoolExecutor:
@@ -779,15 +753,6 @@ class EvalEngine:
             # not stall behind the old pool's shutdown.  Loop to re-check —
             # another thread may have built the new pool meanwhile.
             stale.shutdown(wait=True)
-
-    def _async_dispatcher(self):
-        with self._state_lock:
-            if self._async is None:
-                if self._closed:
-                    raise RuntimeError("EvalEngine is closed")
-                from .service import AsyncDispatcher
-                self._async = AsyncDispatcher(self.workers)
-            return self._async
 
     def _remote_dispatcher(self):
         with self._state_lock:

@@ -96,10 +96,10 @@ from itertools import count
 
 import numpy as np
 
+from .engine import _chunk_ranges
 from .history import BudgetExhausted
 from .service import (PROTOCOL_VERSION, MultiplexedConnection, ServiceError,
-                      _chunk_ranges, backoff_delay, parse_host, recv_msg,
-                      send_msg)
+                      backoff_delay, parse_host, recv_msg, send_msg)
 
 __all__ = ["WorkerRegistry", "RegistryServer", "FleetCoordinator"]
 

@@ -1,22 +1,14 @@
-"""Async and multi-host evaluation dispatch for :class:`EvalEngine`.
+"""Multi-host evaluation dispatch for :class:`EvalEngine`.
 
 This module is the sharding seam on top of the evaluation engine: it turns a
 batch of pending (cache-missed, de-duplicated) designs into performance rows
-using either
-
-* :class:`AsyncDispatcher` — an in-process asyncio dispatcher with bounded
-  concurrency and *work-stealing* chunking.  Instead of the rigid
-  ``np.array_split`` fan-out (one fixed chunk per worker, wall-clock pinned
-  to the slowest chunk), the batch is cut into many small chunks that idle
-  workers pull from a shared deque, so a straggling simulation only delays
-  its own chunk.  Backend name: ``"async"``.
-* :func:`RemoteDispatcher` — the ``"remote"`` backend: a private,
-  single-tenant :class:`~repro.core.fleet.FleetCoordinator` pinned to a
-  static host list.  The fleet is the one remote chunk scheduler in the
-  tree (work-stealing chunks, bounded failover, deadlines, degradation);
-  this module supplies what it runs on — the wire protocol, the
-  :class:`MultiplexedConnection` client and the :class:`EvalWorkerServer`
-  shard (one per host, each running the existing *serial* engine).
+on worker server processes.  :func:`RemoteDispatcher` is the ``"remote"``
+backend: a private, single-tenant :class:`~repro.core.fleet.FleetCoordinator`
+pinned to a static host list.  The fleet is the one remote chunk scheduler
+in the tree (work-stealing chunks, bounded failover, deadlines,
+degradation); this module supplies what it runs on — the wire protocol, the
+:class:`MultiplexedConnection` client and the :class:`EvalWorkerServer`
+shard (one per host, each running the existing *serial* engine).
 
 Wire protocol (version 2)
 -------------------------
@@ -101,7 +93,6 @@ RP06/RP07).
 from __future__ import annotations
 
 import argparse
-import asyncio
 import base64
 import json
 import os
@@ -112,8 +103,7 @@ import struct
 import threading
 import time
 import zlib
-from collections import OrderedDict, deque
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict
 from itertools import count
 from queue import Empty, SimpleQueue
 
@@ -122,7 +112,6 @@ import numpy as np
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
-    "AsyncDispatcher",
     "MultiplexedConnection",
     "RemoteDispatcher",
     "EvalWorkerServer",
@@ -226,53 +215,6 @@ def parse_host(spec: str) -> tuple[str, int]:
     if not sep or not host:
         raise ValueError(f"host must be 'host:port', got {spec!r}")
     return host, int(port)
-
-
-def _chunk_ranges(n: int, n_consumers: int, granularity: int = 4):
-    """Work-stealing chunk bounds: ~``granularity`` chunks per consumer."""
-    size = max(1, n // max(1, n_consumers * granularity))
-    return [(start, min(start + size, n)) for start in range(0, n, size)]
-
-
-# ----------------------------------------------------------------------
-# async (in-process) dispatcher
-# ----------------------------------------------------------------------
-class AsyncDispatcher:
-    """Bounded-concurrency asyncio dispatch with work-stealing chunking.
-
-    ``workers`` coroutines pull small chunks from a shared deque and run the
-    blocking ``problem.evaluate`` calls on a thread pool, so a slow design
-    only holds back its own chunk.  Rows are written back by batch index —
-    output order never depends on scheduling.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = max(1, int(workers))
-        self._pool = ThreadPoolExecutor(max_workers=self.workers)
-
-    def dispatch(self, problem, X: np.ndarray) -> np.ndarray:
-        out: list = [None] * len(X)
-        chunks = deque(_chunk_ranges(len(X), self.workers))
-
-        def eval_chunk(start: int, stop: int) -> list:
-            return [problem.evaluate(x) for x in X[start:stop]]
-
-        async def puller(loop) -> None:
-            while chunks:
-                start, stop = chunks.popleft()
-                rows = await loop.run_in_executor(self._pool, eval_chunk, start, stop)
-                out[start:stop] = rows
-
-        async def drain() -> None:
-            loop = asyncio.get_running_loop()
-            pullers = min(self.workers, len(chunks))
-            await asyncio.gather(*(puller(loop) for _ in range(pullers)))
-
-        asyncio.run(drain())
-        return np.vstack(out)
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
@@ -444,9 +386,10 @@ class EvalWorkerServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  cache_size: int = 100_000, cache_dir=None):
-        from .engine import EvalEngine, _spice_counters
-        _spice_counters()  # preload the simulator before "listening" prints,
-        #                    so the first eval doesn't pay the import
+        # Preload the simulator before "listening" prints, so the first
+        # eval doesn't pay the import.
+        import repro.spice  # noqa: F401
+        from .engine import EvalEngine
         self._engine = EvalEngine("serial", cache_size=cache_size,
                                   cache_dir=cache_dir)
         # guarded by: _problems_lock
@@ -559,18 +502,17 @@ class EvalWorkerServer:
         if problem is None:
             return {"ok": False, "need_problem": True,
                     "error": "unknown problem token (send put_problem first)"}
-        from .engine import _spice_counters
+        from repro.spice import profile
         X = np.asarray(msg["X"], dtype=np.float64)
         with self._eval_lock:
-            profile = _spice_counters()
-            before = profile.snapshot() if profile is not None else None
+            before = profile.snapshot()
             # counters_snapshot() reads under the engine's _state_lock; a
             # bare self._engine.n_sim_calls would race dispatch threads
             # (cross-object access RP02 cannot see — the runtime sanitizer
             # flagged it).
             sims_before = self._engine.counters_snapshot()["n_sim_calls"]
             F = self._engine.evaluate_batch(problem, X)
-            counters = profile.delta(before) if profile is not None else {}
+            counters = profile.delta(before)
             n_sims = (self._engine.counters_snapshot()["n_sim_calls"]
                       - sims_before)
         return {"ok": True, "F": F.tolist(),

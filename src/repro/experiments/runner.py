@@ -18,8 +18,8 @@ thread pool or the serial loop.
 Trial context travels *with* each dispatch — as an explicit argument for
 the serial/thread paths and through the pool initializer for process
 pools — never through a module-level global, so concurrent
-:func:`run_trials` calls (thread pools, the async evaluation service)
-can never run each other's factories.
+:func:`run_trials` calls (thread pools, the evaluation service) can
+never run each other's factories.
 
 ``engine_factory`` points the trials at an evaluation backend: each trial
 builds its own :class:`~repro.core.engine.EvalEngine` from the factory,
@@ -31,7 +31,7 @@ targets an already-running evaluation service (see
 Every trial is driven by a :class:`~repro.core.Study` (the ask/tell
 driver); ``pipeline_depth > 1`` turns on pipelined dispatch inside each
 trial, overlapping the optimizer's proposal generation with in-flight
-evaluations on the async/remote backends.  Pipelined proposals condition
+evaluations on the thread/remote backends.  Pipelined proposals condition
 on a slightly stale archive, so unlike ``workers``/``engine_factory`` this
 knob *may* change trajectories of adaptive optimizers — leave it at 1 for
 paper-protocol reproduction runs.

@@ -12,7 +12,7 @@ from repro.baselines import RandomSearch
 from repro.core import DNNOpt, EvalEngine, default_workers
 from repro.problems import ConstrainedSphere, Sphere
 
-BACKENDS = ["serial", "thread", "process", "async"]
+BACKENDS = ["serial", "thread", "process"]
 
 
 class CountingSphere(Sphere):
@@ -231,7 +231,7 @@ def test_default_workers_positive():
 # ----------------------------------------------------------------------
 # Optimizer wiring: histories are backend-independent, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["thread", "process", "async"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_random_search_history_bit_identical(backend):
     serial = RandomSearch(Sphere(3), 20, seed=5).run()
     with EvalEngine(backend, workers=3) as engine:
@@ -242,7 +242,7 @@ def test_random_search_history_bit_identical(backend):
     np.testing.assert_array_equal(serial.feasible, parallel.feasible)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process", "async"])
+@pytest.mark.parametrize("backend", ["thread", "process"])
 def test_batched_dnnopt_history_bit_identical(backend):
     problem_factory = lambda: ConstrainedSphere(3)
     serial = small_dnnopt(problem_factory(), 18, seed=7, batch_size=3).run()
@@ -374,6 +374,92 @@ def test_close_cancels_queued_submits_and_gather_raises():
             outcomes.append("cancelled")
     # ...at least the tail of the queue was cancelled, and nothing hung
     assert "cancelled" in outcomes
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_closed_engine_answers_cache_hits_but_builds_no_pool(backend):
+    # evaluate_batch after close() used to rebuild the worker pool, answer,
+    # and leave the pool (for "process": its worker processes) running.
+    problem = Sphere(2)
+    rng = np.random.default_rng(0)
+    X, fresh = problem.space.sample(rng, 4), problem.space.sample(rng, 4)
+    engine = EvalEngine(backend, workers=2)
+    expected = engine.evaluate_batch(problem, X)
+    engine.close()
+    np.testing.assert_array_equal(engine.evaluate_batch(problem, X), expected)
+    with pytest.raises(RuntimeError, match="closed"):
+        engine.evaluate_batch(problem, fresh)
+    assert engine._executor is None
+    assert engine.counters_snapshot()["n_pool_builds"] == (backend == "process")
+
+
+def test_blocking_batch_on_cancelled_submit_raises_runtime_error():
+    # A blocking batch parked on a queued submit's design that close()
+    # cancels used to leak a bare, message-less CancelledError; it now
+    # raises the same RuntimeError gather() does.
+    import threading
+    import time as _time
+
+    class SlowSphere(Sphere):
+        def _evaluate(self, x):
+            _time.sleep(0.5)
+            return super()._evaluate(x)
+
+    problem = SlowSphere(2)
+    X = problem.space.sample(np.random.default_rng(0), 5)
+    engine = EvalEngine("serial", workers=1)  # 4 submit threads
+    handles = [engine.submit(problem, x[None, :]) for x in X]  # 5th queued
+    errors = []
+
+    def blocking():
+        try:
+            engine.evaluate_batch(problem, X[4:])
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=blocking)
+    thread.start()
+    deadline = _time.monotonic() + 5.0
+    while engine.counters_snapshot()["n_dedup"] < 1:  # parked on the 5th
+        assert _time.monotonic() < deadline
+        _time.sleep(0.005)
+    engine.close()
+    thread.join(10)
+    assert not thread.is_alive()
+    assert len(errors) == 1
+    assert type(errors[0]) is RuntimeError, repr(errors[0])
+    assert "closed" in str(errors[0])
+    with pytest.raises(RuntimeError, match="closed"):
+        engine.gather(handles[4])
+
+
+def test_thread_backend_straggler_holds_back_only_its_own_chunk():
+    # The thread pool is fed small work-stealing chunks: while one worker
+    # sits on the slow design, the other drains the rest of the batch.
+    # With one fixed array_split chunk per worker, the straggler's worker
+    # also had to run the 3 designs chunked with it.
+    import threading
+    import time as _time
+
+    class StragglerSphere(Sphere):
+        def __init__(self):
+            super().__init__(2)
+            self.lock = threading.Lock()
+            self.ran: dict[int, list[float]] = {}
+
+        def _evaluate(self, x):
+            _time.sleep(0.3 if x[0] == 0.0 else 0.02)
+            with self.lock:
+                self.ran.setdefault(threading.get_ident(), []).append(x[0])
+            return super()._evaluate(x)
+
+    problem = StragglerSphere()
+    X = np.column_stack([np.arange(8) * 0.5, np.zeros(8)])
+    with EvalEngine("thread", workers=2) as engine:
+        F = engine.evaluate_batch(problem, X)
+    np.testing.assert_allclose(F[:, 0], (X ** 2).sum(axis=1))  # input order
+    (straggler,) = [ran for ran in problem.ran.values() if 0.0 in ran]
+    assert len(straggler) <= 2, problem.ran
 
 
 # ----------------------------------------------------------------------
