@@ -16,6 +16,9 @@ that with:
   :class:`Diode`\\ s) in a circuit are evaluated as one numpy batch per
   iteration and scattered into the Jacobian/residual with a single
   ``np.add.at`` per array, using flat index vectors resolved at plan build.
+  The MOSFET and capacitor stamp values come from one index + sign gather
+  each (also built at plan build), not from expanding every value into its
+  signed copies and selecting from those.
   Other nonlinear device classes fall back to their per-device
   ``stamp_static`` — the generic path of the stamping-plan contract.
 * **Per-step affine transient companions.**  Companion stamps are affine in
@@ -24,13 +27,25 @@ that with:
   once — vectorized for MOSFET Meyer capacitors and linear capacitors,
   captured at ``x = 0`` for any other dynamic device — and Newton iterations
   inside the step touch no Python device code at all.
+* **One model evaluation per Newton iterate.**  :meth:`StampPlan.advance`
+  evaluates the MOSFET batch at the accepted point for the next step's
+  Meyer capacitances, and the next step's first Newton iterate is that same
+  point.  The batch keeps a one-entry memo keyed on the bytes of the node
+  voltages, so the second call is free.  The model is a pure function of
+  those bits and of per-plan constants, so a memo hit returns exactly what
+  a fresh evaluation would; the memoized arrays are read-only, so no
+  consumer can edit them in place.  A transient without step halving thus
+  computes the model (Newton iterations + 1) times, not (iterations +
+  accepted steps).
 * **Reused workspaces.**  One preallocated :class:`System` (plus the baked
   matrices) serves every assembly; gmin stepping lands on a precomputed
   diagonal index vector.
 
 Numerical equivalence with the legacy path (same stamps, different summation
-order) is pinned by ``tests/spice/test_stamp_plan.py``.  The legacy path
-stays available through :func:`set_stamping_mode`/:func:`stamping` (or the
+order) is pinned by ``tests/spice/test_stamp_plan.py``, which also holds a
+verbatim copy of the MOSFET batch before the memo and the gathers and checks
+the plan against it bit for bit.  The legacy path stays available through
+:func:`set_stamping_mode`/:func:`stamping` (or the
 ``REPRO_SPICE_STAMPING=legacy`` environment variable) and is what the
 hot-path benchmark reports as "before".
 """
@@ -107,11 +122,33 @@ def _flat_res_scatter(rows: np.ndarray):
     return sel, idx
 
 
+def _signed_gather(sel: np.ndarray, signs: np.ndarray, inner: int = 1):
+    """Index + sign vectors that replace a signed expand-then-select.
+
+    For ``values`` whose flat layout is ``(outer, inner)``, expanding to
+    ``(outer, len(signs), inner)`` by multiplying with ``signs`` and taking
+    ``.ravel()[sel]`` equals ``values.ravel()[src] * sign`` bit for bit:
+    each entry is the same single product (negation by ``* -1.0`` is exact),
+    without building the expanded array every call.
+    """
+    width = len(signs)
+    src = (sel // (width * inner)) * inner + sel % inner
+    return src, signs[(sel // inner) % width]
+
+
+_HALF_SIGNS = np.array([1.0, -1.0])  # (+value, -value): the d/s row pair
+_REVERSE = np.array([2, 1, 0, 3])      # d<->s swap of the (d, g, s, b) columns
+
+
 class _MOSFETBatch:
     """Vectorized square-law model + stamps for the exact-class MOSFETs.
 
     Mirrors ``MOSFET._ids``/``terminal_current``/``_capacitances`` term by
     term so plan and legacy paths agree to summation-order rounding.
+
+    :meth:`evaluate` keeps a one-entry memo keyed on the bytes of the
+    ground-augmented node voltages: the model is a pure function of those
+    bits, so a repeat call returns the previous (read-only) arrays.
     """
 
     def __init__(self, entries, size: int):
@@ -119,7 +156,8 @@ class _MOSFETBatch:
         devices = [dev for dev, _ in entries]
         idx = np.array([e.nodes for _, e in entries], dtype=np.intp)  # (n, 4)
         self.idx = idx
-        self.gather = np.where(idx < 0, size, idx)  # -1 -> augmented zero slot
+        gather = np.where(idx < 0, size, idx)  # -1 -> augmented zero slot
+        self._gather_t = np.ascontiguousarray(gather.T)  # (4, n): d, g, s, b rows
         models = [dev.model for dev in devices]
         self.sign = np.array([1.0 if m.polarity == "n" else -1.0 for m in models])
         self.k = np.array([dev._k for dev in devices])
@@ -129,50 +167,80 @@ class _MOSFETBatch:
         self.phi = np.array([m.phi for m in models])
         self.sqrt_phi = np.sqrt(self.phi)
         self.smooth = np.array([m.smooth for m in models])
+        # Per-plan constants of the model, hoisted out of _model.
+        self._four_d2 = 4.0 * self.smooth * self.smooth
+        self._k_lam = self.k * self.lam
+        self._no_body = self.gamma == 0.0
         # Capacitance building blocks (constant per device).
         self.cox_total = np.array([m.cox * d.w * d.l * d.m for m, d in zip(models, devices)])
         self.ovl_s = np.array([m.cgso * d.w * d.m for m, d in zip(models, devices)])
         self.ovl_d = np.array([m.cgdo * d.w * d.m for m, d in zip(models, devices)])
         self.cj_diff = np.array([m.cj * d.w * 3.0 * m.lref * d.m
                                  for m, d in zip(models, devices)])
+        self._cgs_sat = (2.0 / 3.0) * self.cox_total + self.ovl_s
+        self._cgs_lin = 0.5 * self.cox_total + self.ovl_s
+        self._cgd_lin = 0.5 * self.cox_total + self.ovl_d
 
         # Static scatter: rows (d, s) x cols (d, g, s, b), then residual (d, s).
         rows = np.repeat(idx[:, [0, 2]], 4, axis=1)            # d d d d s s s s
         cols = np.tile(idx, (1, 2))                            # d g s b d g s b
-        self.jac_sel, self.jac_idx = _flat_scatter(rows, cols, size)
-        self.res_sel, self.res_idx = _flat_res_scatter(idx[:, [0, 2]])
+        jac_sel, self.jac_idx = _flat_scatter(rows, cols, size)
+        res_sel, self.res_idx = _flat_res_scatter(idx[:, [0, 2]])
+        # _model builds the derivatives as a C-ordered (4, n) array and
+        # returns its (n, 4) transpose; gather from the (4, n) buffer.
+        src, self.jac_sign = _signed_gather(jac_sel, _HALF_SIGNS, inner=4)
+        self.jac_src = (src % 4) * self.n + src // 4
+        self.res_src, self.res_sign = _signed_gather(res_sel, _HALF_SIGNS)
 
         # Meyer capacitor pairs (g,s) (g,d) (g,b) (d,b) (s,b).
         pairs = MOSFET._CAP_PAIRS
-        self.pair_a_cols = np.array([p[0] for p in pairs])
-        self.pair_b_cols = np.array([p[1] for p in pairs])
-        pa = idx[:, self.pair_a_cols]                          # (n, 5)
-        pb = idx[:, self.pair_b_cols]
+        pair_a_cols = [p[0] for p in pairs]
+        pair_b_cols = [p[1] for p in pairs]
+        self._pair_a = gather[:, pair_a_cols]                  # (n, 5) into xg
+        self._pair_b = gather[:, pair_b_cols]
+        pa = idx[:, pair_a_cols]                               # (n, 5)
+        pb = idx[:, pair_b_cols]
         prow = np.stack([pa, pa, pb, pb], axis=2)              # (n, 5, 4)
         pcol = np.stack([pa, pb, pa, pb], axis=2)
-        self.pjac_sel, self.pjac_idx = _flat_scatter(prow, pcol, size)
-        self.pres_sel, self.pres_idx = _flat_res_scatter(np.stack([pa, pb], axis=2))
+        pjac_sel, self.pjac_idx = _flat_scatter(prow, pcol, size)
+        pres_sel, self.pres_idx = _flat_res_scatter(np.stack([pa, pb], axis=2))
+        self.pjac_src, self.pjac_sign = _signed_gather(pjac_sel, _PAIR_SIGNS)
+        self.pres_src, self.pres_sign = _signed_gather(pres_sel, _RES_SIGNS)
+
+        self._memo_key: bytes | None = None
+        self._memo = None
 
     # -- model evaluation ------------------------------------------------
     def evaluate(self, xg: np.ndarray):
-        """Terminal currents, derivatives, and region data for every device."""
-        v = xg[self.gather]                                    # (n, 4)
-        nv = self.sign[:, None] * v
-        nvd, nvg, nvs, nvb = nv[:, 0], nv[:, 1], nv[:, 2], nv[:, 3]
+        """Terminal currents, derivatives, and region data for every device.
+
+        Returns ``(current, derivs, vov, vds, vdsat, reverse)``; the arrays
+        are read-only because a repeat call at the same voltages returns
+        them again.
+        """
+        key = xg.tobytes()
+        if key != self._memo_key:
+            self._memo = self._model(xg)
+            self._memo_key = key
+        return self._memo
+
+    def _model(self, xg: np.ndarray):
+        nvd, nvg, nvs, nvb = self.sign * xg[self._gather_t]    # (4, n) rows
         fwd = nvd >= nvs
-        vgs = np.where(fwd, nvg - nvs, nvg - nvd)
-        vds = np.where(fwd, nvd - nvs, nvs - nvd)
-        vsb = np.where(fwd, nvs - nvb, nvd - nvb)
+        # Normalized orientation: the higher of drain/source acts as drain.
+        hi = np.where(fwd, nvd, nvs)
+        lo = np.where(fwd, nvs, nvd)
+        vgs = nvg - lo
+        vds = hi - lo
+        vsb = lo - nvb
 
-        arg = np.maximum(self.phi + vsb, 0.05)
-        sq = np.sqrt(arg)
+        phi_vsb = self.phi + vsb
+        sq = np.sqrt(np.maximum(phi_vsb, 0.05))
         vth = self.vto + self.gamma * (sq - self.sqrt_phi)
-        dvth = np.where((self.phi + vsb < 0.05) | (self.gamma == 0.0),
-                        0.0, self.gamma / (2.0 * sq))
+        dvth = np.where((phi_vsb < 0.05) | self._no_body, 0.0, self.gamma / (2.0 * sq))
 
-        delta = self.smooth
         vov = vgs - vth
-        s = np.sqrt(vov * vov + 4.0 * delta * delta)
+        s = np.sqrt(vov * vov + self._four_d2)
         vov_eff = 0.5 * (vov + s)
         dvov_eff = 0.5 * (1.0 + vov / s)
 
@@ -189,26 +257,32 @@ class _MOSFETBatch:
         f = vov_eff * vdse - 0.5 * vdse * vdse
         ids = self.k * f * clm
 
-        did_dvdse = self.k * clm * (vov_eff - vdse)
-        did_dvov = self.k * clm * vdse + did_dvdse * dvdse_dvdsat
+        k_clm = self.k * clm
+        did_dvdse = k_clm * (vov_eff - vdse)
+        did_dvov = k_clm * vdse + did_dvdse * dvdse_dvdsat
         did_dvgs = did_dvov * dvov_eff
-        did_dvds = self.k * self.lam * f + did_dvdse * dvdse_dvds
-        did_dvsb = -did_dvov * dvov_eff * dvth
+        did_dvds = self._k_lam * f + did_dvdse * dvdse_dvds
+        # -(a * b) == (-a) * b exactly (rounding is sign-symmetric), so this
+        # reuses did_dvgs for the model's -did_dvov * dvov_eff * dvth.
+        did_dvsb = -did_dvgs * dvth
 
         signed = self.sign * ids
         current = np.where(fwd, signed, -signed)
         # Terminal derivatives wrt (vd, vg, vs, vb); polarity signs cancel.
         # The reverse orientation is a signed permutation of the forward one:
         # (dg+dd-db, -dg, -dd, db) == -(fwd[2], fwd[1], fwd[0], fwd[3]).
-        forward = np.stack([did_dvds, did_dvgs,
-                            -did_dvgs - did_dvds + did_dvsb, -did_dvsb], axis=1)
-        derivs = np.where(fwd[:, None], forward, -forward[:, [2, 1, 0, 3]])
-        return current, derivs, vov, vds, vdsat, ~fwd
+        forward = np.array([did_dvds, did_dvgs,
+                            -did_dvgs - did_dvds + did_dvsb, -did_dvsb])
+        derivs = np.where(fwd, forward, -forward.take(_REVERSE, axis=0)).T
+        out = (current, derivs, vov, vds, vdsat, ~fwd)
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
     def static_values(self, xg: np.ndarray):
         current, derivs, *_ = self.evaluate(xg)
-        jac = np.concatenate([derivs, -derivs], axis=1).ravel()[self.jac_sel]
-        res = np.stack([current, -current], axis=1).ravel()[self.res_sel]
+        jac = derivs.T.ravel()[self.jac_src] * self.jac_sign
+        res = current[self.res_src] * self.res_sign
         return jac, res
 
     def capacitances(self, xg: np.ndarray) -> np.ndarray:
@@ -217,17 +291,14 @@ class _MOSFETBatch:
         cutoff = vov < 0.0
         saturation = ~cutoff & (vds >= vdsat)
         cgs = np.where(cutoff, self.ovl_s,
-                       np.where(saturation, (2.0 / 3.0) * self.cox_total + self.ovl_s,
-                                0.5 * self.cox_total + self.ovl_s))
-        cgd = np.where(cutoff | saturation, self.ovl_d,
-                       0.5 * self.cox_total + self.ovl_d)
+                       np.where(saturation, self._cgs_sat, self._cgs_lin))
+        cgd = np.where(cutoff | saturation, self.ovl_d, self._cgd_lin)
         cgb = np.where(cutoff, self.cox_total, 0.0)
         cgs, cgd = (np.where(reverse, cgd, cgs), np.where(reverse, cgs, cgd))
         return np.stack([cgs, cgd, cgb, self.cj_diff, self.cj_diff], axis=1)
 
     def pair_voltages(self, xg: np.ndarray) -> np.ndarray:
-        v = xg[self.gather]
-        return v[:, self.pair_a_cols] - v[:, self.pair_b_cols]
+        return xg[self._pair_a] - xg[self._pair_b]
 
     def companions(self, caps, v, i, dt: float, method: str):
         """Companion conductances/currents for the state (start of step)."""
@@ -296,8 +367,10 @@ class _CapacitorBatch:
         a, b = idx[:, 0], idx[:, 1]
         rows = np.stack([a, a, b, b], axis=1)
         cols = np.stack([a, b, a, b], axis=1)
-        self.jac_sel, self.jac_idx = _flat_scatter(rows, cols, size)
-        self.res_sel, self.res_idx = _flat_res_scatter(idx)
+        jac_sel, self.jac_idx = _flat_scatter(rows, cols, size)
+        res_sel, self.res_idx = _flat_res_scatter(idx)
+        self.jac_src, self.jac_sign = _signed_gather(jac_sel, _PAIR_SIGNS)
+        self.res_src, self.res_sign = _signed_gather(res_sel, _RES_SIGNS)
 
     def voltages(self, xg: np.ndarray) -> np.ndarray:
         v = xg[self.gather]
@@ -482,16 +555,14 @@ class StampPlan:
         if self._mos is not None:
             geq, ieq = self._mos.companions(state.mos_caps, state.mos_v,
                                             state.mos_i, dt, method)
-            np.add.at(J_flat, self._mos.pjac_idx,
-                      (geq[:, :, None] * _PAIR_SIGNS).ravel()[self._mos.pjac_sel])
-            np.add.at(c, self._mos.pres_idx,
-                      (ieq[:, :, None] * _RES_SIGNS).ravel()[self._mos.pres_sel])
+            mos = self._mos
+            np.add.at(J_flat, mos.pjac_idx, geq.ravel()[mos.pjac_src] * mos.pjac_sign)
+            np.add.at(c, mos.pres_idx, ieq.ravel()[mos.pres_src] * mos.pres_sign)
         if self._caps is not None:
-            geq, ieq = self._caps.companions(state.cap_v, state.cap_i, dt, method)
-            np.add.at(J_flat, self._caps.jac_idx,
-                      (geq[:, None] * _PAIR_SIGNS).ravel()[self._caps.jac_sel])
-            np.add.at(c, self._caps.res_idx,
-                      (ieq[:, None] * _RES_SIGNS).ravel()[self._caps.res_sel])
+            caps = self._caps
+            geq, ieq = caps.companions(state.cap_v, state.cap_i, dt, method)
+            np.add.at(J_flat, caps.jac_idx, geq[caps.jac_src] * caps.jac_sign)
+            np.add.at(c, caps.res_idx, ieq[caps.res_src] * caps.res_sign)
         if self._generic_dynamic:
             scratch = self._dyn_scratch
             scratch.reset()

@@ -5,8 +5,12 @@ event counts into a module-level table so callers (the benchmark harness,
 :class:`repro.core.engine.EvalEngine`) can report assemble/solve/overhead
 breakdowns without threading a profiler object through every analysis.
 
-Counters are always on: the cost is two ``perf_counter`` calls per Newton
-iteration, negligible next to a dense solve.  ``snapshot``/``delta`` let a
+Counters are always on.  Each Newton iteration makes three ``perf_counter``
+calls and three counter adds (``newton_iterations``, ``assemble_s``,
+``solve_s``); each ``newton_solve`` call adds one more (``newton_solves``),
+and each plan-path transient step two calls and one add for its baked
+companion part.  That is well under a microsecond per iteration, small
+next to the model evaluation and the dense solve.  ``snapshot``/``delta`` let a
 caller measure just its own window of activity; counts accumulated inside
 ``process``-backend pool workers stay in those workers.
 

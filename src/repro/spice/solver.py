@@ -11,6 +11,7 @@ Robustness features mirror production SPICE engines:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -51,7 +52,7 @@ def newton_solve(build, x0: np.ndarray, *, max_iter: int = 100, abstol: float = 
         sys = build(x)
         t1 = perf_counter()
         profile.add("assemble_s", t1 - t0)
-        residual = float(np.max(np.abs(sys.f))) if sys.f.size else 0.0
+        residual = float(np.abs(sys.f).max()) if sys.f.size else 0.0
         try:
             dx = np.linalg.solve(sys.J, -sys.f)
         except np.linalg.LinAlgError:
@@ -59,11 +60,13 @@ def newton_solve(build, x0: np.ndarray, *, max_iter: int = 100, abstol: float = 
             ridge = sys.J + 1e-12 * np.eye(sys.size)
             dx, *_ = np.linalg.lstsq(ridge, -sys.f, rcond=None)
         profile.add("solve_s", perf_counter() - t1)
-        if not np.all(np.isfinite(dx)):
+        abs_dx = np.abs(dx)
+        # max() propagates NaN and inf, so a finite step means a finite dx.
+        step = float(abs_dx.max()) if dx.size else 0.0
+        if not math.isfinite(step):
             return NewtonResult(x, False, iterations, residual)
-        step = float(np.max(np.abs(dx))) if dx.size else 0.0
         tol = abstol + reltol * np.abs(x)
-        if np.all(np.abs(dx) <= tol):
+        if (abs_dx <= tol).all():
             x = x + dx
             return NewtonResult(x, True, iterations, residual)
         # Damping: scale the whole update so no component moves more than vlimit.
