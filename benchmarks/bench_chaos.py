@@ -18,23 +18,19 @@ roughly ``delay / (threshold + eval)``; a broken hedge path (never fires,
 fires on the same host, loses the first-reply race) drags the ratio
 towards 1.0.
 
-    PYTHONPATH=src python benchmarks/bench_chaos.py
-    PYTHONPATH=src python benchmarks/bench_chaos.py --quick
+Re-record the committed baseline, or check a run against it (see README
+"Perf guards"):
 
-Results go to ``BENCH_chaos.json`` (override with ``--out``); ``--check
-BASELINE.json`` fails when the measured ratio drops more than 50% below
-the committed baseline's.
+    PYTHONPATH=src python benchmarks/bench_chaos.py --out BENCH_chaos.json
+    PYTHONPATH=src python benchmarks/bench_chaos.py --quick \
+        --check BENCH_chaos.json --out /tmp/bench_chaos.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 import threading
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -44,8 +40,10 @@ from repro.core.fleet import FleetCoordinator
 from repro.core.service import EvalWorkerServer
 from repro.problems import LatencyProblem, Sphere
 
-#: fraction of the baseline ratio a measured ratio must retain.
-REGRESSION_FLOOR = 0.5
+from _shared import guard_main
+
+#: fraction of each committed ratio a measured ratio must retain.
+FLOORS = {"no_hedge_vs_hedged_p99": 0.5}
 
 
 def run_phase(worker_address, healthy_address, problem, rounds, *,
@@ -94,6 +92,12 @@ def run_phase(worker_address, healthy_address, problem, rounds, *,
 
 
 def run(args) -> dict:
+    if args.quick:
+        args.batch, args.rounds, args.warmup = 6, 5, 2
+        args.latency, args.delay = 5.0, 0.6
+    print(f"chaos: {args.rounds} x {args.batch} designs, "
+          f"{args.latency:g} ms evals, straggler delay {args.delay:g} s "
+          f"on every faulted-host reply, hedging off vs on")
     problem = LatencyProblem(Sphere(6), args.latency / 1e3)
     rng = np.random.default_rng(0)
     # Distinct designs per phase/round: the workers persist across phases,
@@ -127,8 +131,6 @@ def run(args) -> dict:
           f"{hedged['hedge_discards']} discards)")
     print(f"  no_hedge_vs_hedged_p99: {ratio:.2f}x")
     return {
-        "host": {"machine": platform.machine(),
-                 "python": platform.python_version(), "cpus": os.cpu_count()},
         "config": {"batch": args.batch, "rounds": args.rounds,
                    "warmup": args.warmup, "latency_ms": args.latency,
                    "delay_s": args.delay, "hedge_factor": args.hedge_factor,
@@ -136,21 +138,6 @@ def run(args) -> dict:
         "results": {"no_hedge": plain, "hedged": hedged},
         "speedup": {"no_hedge_vs_hedged_p99": ratio},
     }
-
-
-def check(report: dict, baseline_path: str) -> int:
-    baseline = json.loads(Path(baseline_path).read_text())
-    name = "no_hedge_vs_hedged_p99"
-    floor = REGRESSION_FLOOR * baseline["speedup"][name]
-    got = report["speedup"][name]
-    status = "ok" if got >= floor else "REGRESSION"
-    print(f"  check {name}: {got:.2f}x vs floor {floor:.2f}x "
-          f"(baseline {baseline['speedup'][name]:.2f}x) -> {status}")
-    if got < floor:
-        print(f"FAIL: {name} {got:.2f}x below floor {floor:.2f}x")
-        return 1
-    print("hedged tail latency within baseline envelope")
-    return 0
 
 
 if __name__ == "__main__":
@@ -171,19 +158,4 @@ if __name__ == "__main__":
     parser.add_argument("--hedge-min-s", type=float, default=0.1)
     parser.add_argument("--quick", action="store_true",
                         help="smaller rounds for CI smoke")
-    parser.add_argument("--out", default="BENCH_chaos.json")
-    parser.add_argument("--check", metavar="BASELINE.json",
-                        help="fail if the ratio regresses vs this baseline")
-    args = parser.parse_args()
-    if args.quick:
-        args.batch, args.rounds, args.warmup = 6, 5, 2
-        args.latency, args.delay = 5.0, 0.6
-
-    print(f"chaos: {args.rounds} x {args.batch} designs, "
-          f"{args.latency:g} ms evals, straggler delay {args.delay:g} s "
-          f"on every faulted-host reply, hedging off vs on")
-    report = run(args)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if args.check:
-        sys.exit(check(report, args.check))
+    sys.exit(guard_main(parser, "BENCH_chaos.json", run, FLOORS))

@@ -13,22 +13,18 @@ Two figures of merit for :class:`~repro.scenarios.CornerProblem`:
   overlap, not CPU count, sets throughput).  The fan-out submits every
   corner batch before gathering any, so corners of a design overlap.
 
-    PYTHONPATH=src python benchmarks/bench_corners.py
-    PYTHONPATH=src python benchmarks/bench_corners.py --quick
+Re-record the committed baseline, or check a run against it (see README
+"Perf guards"):
 
-Results go to ``BENCH_corners.json`` (override with ``--out``); ``--check
-BASELINE.json`` fails when either metric drops more than 40% below the
-committed baseline's.
+    PYTHONPATH=src python benchmarks/bench_corners.py --out BENCH_corners.json
+    PYTHONPATH=src python benchmarks/bench_corners.py --quick \
+        --check BENCH_corners.json --out /tmp/bench_corners.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -38,8 +34,10 @@ from repro.core import EvalEngine, Study
 from repro.problems import ConstrainedSphere, LatencyProblem, Sphere
 from repro.scenarios import CornerProblem, ScenarioSet
 
-#: fraction of the baseline a measured metric must retain.
-REGRESSION_FLOOR = 0.6
+from _shared import guard_main
+
+#: fraction of each committed ratio a measured ratio must retain.
+FLOORS = {"gating_sims_ratio": 0.6, "parallel_vs_serial": 0.6}
 
 
 def bench_gating(budget: int) -> tuple[float, dict]:
@@ -87,6 +85,10 @@ def bench_parallel(batch: int, latency_ms: float, workers: int) -> tuple[float, 
 
 
 def run(args) -> dict:
+    if args.quick:
+        args.budget, args.batch, args.latency = 48, 12, 10.0
+    print(f"corners: {args.budget}-design gated run + "
+          f"{args.batch}x4-corner fan-out at {args.latency:g} ms latency")
     gating_ratio, gating = bench_gating(args.budget)
     print(f"  gating: {gating['gated_sims']} sims vs "
           f"{gating['full_fanout_sims']} full fan-out "
@@ -97,8 +99,6 @@ def run(args) -> dict:
           f"{args.workers}-worker thread {parallel['parallel_s']:.3f} s "
           f"-> {parallel_ratio:.2f}x")
     return {
-        "host": {"machine": platform.machine(),
-                 "python": platform.python_version(), "cpus": os.cpu_count()},
         "config": {"budget": args.budget, "batch": args.batch,
                    "latency_ms": args.latency, "workers": args.workers,
                    "quick": args.quick},
@@ -106,24 +106,6 @@ def run(args) -> dict:
         "speedup": {"gating_sims_ratio": gating_ratio,
                     "parallel_vs_serial": parallel_ratio},
     }
-
-
-def check(report: dict, baseline_path: str) -> int:
-    baseline = json.loads(Path(baseline_path).read_text())
-    failures = 0
-    for name in ("gating_sims_ratio", "parallel_vs_serial"):
-        floor = REGRESSION_FLOOR * baseline["speedup"][name]
-        got = report["speedup"][name]
-        status = "ok" if got >= floor else "REGRESSION"
-        print(f"  check {name}: {got:.2f}x vs floor {floor:.2f}x "
-              f"(baseline {baseline['speedup'][name]:.2f}x) -> {status}")
-        if got < floor:
-            failures += 1
-    if failures:
-        print(f"FAIL: {failures} scenario metric(s) below the baseline floor")
-        return 1
-    print("scenario gating + fan-out within baseline envelope")
-    return 0
 
 
 if __name__ == "__main__":
@@ -138,17 +120,4 @@ if __name__ == "__main__":
                         help="thread-engine workers for the parallel phase")
     parser.add_argument("--quick", action="store_true",
                         help="small sizes for CI smoke")
-    parser.add_argument("--out", default="BENCH_corners.json")
-    parser.add_argument("--check", metavar="BASELINE.json",
-                        help="fail if a metric regresses vs this baseline")
-    args = parser.parse_args()
-    if args.quick:
-        args.budget, args.batch, args.latency = 48, 12, 10.0
-
-    print(f"corners: {args.budget}-design gated run + "
-          f"{args.batch}x4-corner fan-out at {args.latency:g} ms latency")
-    report = run(args)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if args.check:
-        sys.exit(check(report, args.check))
+    sys.exit(guard_main(parser, "BENCH_corners.json", run, FLOORS))

@@ -15,34 +15,31 @@ sims/sec over single-tenant sims/sec.  Fair chunk interleaving costs only
 scheduling overhead, so the ratio should stay near 1.0 — a scheduler that
 serializes tenants (or thrashes the connections) drags it down.
 
-    PYTHONPATH=src python benchmarks/bench_fleet.py
-    PYTHONPATH=src python benchmarks/bench_fleet.py --quick
+Re-record the committed baseline, or check a run against it (see README
+"Perf guards"):
 
-Results go to ``BENCH_fleet.json`` (override with ``--out``); ``--check
-BASELINE.json`` fails when the measured ratio drops more than 40% below
-the committed baseline's.
+    PYTHONPATH=src python benchmarks/bench_fleet.py --out BENCH_fleet.json
+    PYTHONPATH=src python benchmarks/bench_fleet.py --quick \
+        --check BENCH_fleet.json --out /tmp/bench_fleet.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import subprocess
 import sys
 import threading
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from repro.core.fleet import FleetCoordinator
-from repro.core.service import spawn_local_worker
+from repro.core.service import local_workers
 from repro.problems import LatencyProblem, Sphere
 
-#: fraction of the baseline ratio a measured ratio must retain.
-REGRESSION_FLOOR = 0.6
+from _shared import guard_main
+
+#: fraction of each committed ratio a measured ratio must retain.
+FLOORS = {"two_tenant_vs_single": 0.6}
 
 
 def time_single_tenant(fleet, problem, X) -> float:
@@ -81,6 +78,10 @@ def time_two_tenants(fleet, problem, X_a, X_b) -> float:
 
 
 def run(args) -> dict:
+    if args.quick:
+        args.batch, args.latency = 32, 10.0
+    print(f"fleet: batch {args.batch} x {args.latency:g} ms latency, "
+          f"{args.shards} workers, 1 vs 2 tenants")
     problem = LatencyProblem(Sphere(6), args.latency / 1e3)
     rng = np.random.default_rng(0)
     # Distinct designs per phase: the worker processes persist across the
@@ -89,25 +90,11 @@ def run(args) -> dict:
     X_a = problem.space.sample(rng, args.batch // 2)
     X_b = problem.space.sample(rng, args.batch - args.batch // 2)
 
-    procs = []
-    try:
-        hosts = []
-        for _ in range(args.shards):
-            proc, host = spawn_local_worker()
-            procs.append(proc)
-            hosts.append(host)
-        with FleetCoordinator(hosts=hosts) as fleet:
-            single_s = time_single_tenant(fleet, problem, X_single)
-            two_s = time_two_tenants(fleet, problem, X_a, X_b)
-            requeues = fleet.stats()["requeues"]
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
+    with local_workers(args.shards) as (_, hosts), \
+            FleetCoordinator(hosts=hosts) as fleet:
+        single_s = time_single_tenant(fleet, problem, X_single)
+        two_s = time_two_tenants(fleet, problem, X_a, X_b)
+        requeues = fleet.stats()["requeues"]
 
     single_rate = args.batch / single_s
     two_rate = args.batch / two_s
@@ -116,8 +103,6 @@ def run(args) -> dict:
     print(f"  two tenants:   {two_s:7.3f} s  ({two_rate:8.1f} sims/s aggregate)")
     print(f"  two_tenant_vs_single: {ratio:.2f}x  (requeues: {requeues})")
     return {
-        "host": {"machine": platform.machine(),
-                 "python": platform.python_version(), "cpus": os.cpu_count()},
         "config": {"batch": args.batch, "latency_ms": args.latency,
                    "shards": args.shards, "quick": args.quick},
         "results": {"single_tenant_s": round(single_s, 4),
@@ -127,21 +112,6 @@ def run(args) -> dict:
                     "requeues": requeues},
         "speedup": {"two_tenant_vs_single": ratio},
     }
-
-
-def check(report: dict, baseline_path: str) -> int:
-    baseline = json.loads(Path(baseline_path).read_text())
-    name = "two_tenant_vs_single"
-    floor = REGRESSION_FLOOR * baseline["speedup"][name]
-    got = report["speedup"][name]
-    status = "ok" if got >= floor else "REGRESSION"
-    print(f"  check {name}: {got:.2f}x vs floor {floor:.2f}x "
-          f"(baseline {baseline['speedup'][name]:.2f}x) -> {status}")
-    if got < floor:
-        print(f"FAIL: {name} {got:.2f}x below floor {floor:.2f}x")
-        return 1
-    print("fleet multi-tenant throughput within baseline envelope")
-    return 0
 
 
 if __name__ == "__main__":
@@ -154,17 +124,4 @@ if __name__ == "__main__":
                         help="local worker server processes")
     parser.add_argument("--quick", action="store_true",
                         help="small batch for CI smoke")
-    parser.add_argument("--out", default="BENCH_fleet.json")
-    parser.add_argument("--check", metavar="BASELINE.json",
-                        help="fail if the ratio regresses vs this baseline")
-    args = parser.parse_args()
-    if args.quick:
-        args.batch, args.latency = 32, 10.0
-
-    print(f"fleet: batch {args.batch} x {args.latency:g} ms latency, "
-          f"{args.shards} workers, 1 vs 2 tenants")
-    report = run(args)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if args.check:
-        sys.exit(check(report, args.check))
+    sys.exit(guard_main(parser, "BENCH_fleet.json", run, FLOORS))

@@ -21,24 +21,20 @@ asserts the recorded histories still *replay* — every row equals the
 deterministic evaluation of its design — and that the latency-modeled
 (stateless) histories are bit-identical across modes.
 
-    PYTHONPATH=src python benchmarks/bench_pipeline.py
-    PYTHONPATH=src python benchmarks/bench_pipeline.py --quick
+A driver that stops overlapping (lost submit/gather path, serialized
+pipeline) drags the guarded ratio down.  Re-record the committed baseline,
+or check a run against it (see README "Perf guards"):
 
-Results go to ``BENCH_pipeline.json`` (override with ``--out``); ``--check
-BASELINE.json`` fails when the pipelined-vs-barrier speedup drops more than
-40% below the committed baseline — a driver that stops overlapping (lost
-submit/gather path, serialized pipeline) shows up immediately.
+    PYTHONPATH=src python benchmarks/bench_pipeline.py --out BENCH_pipeline.json
+    PYTHONPATH=src python benchmarks/bench_pipeline.py --quick --skip-dnnopt \
+        --check BENCH_pipeline.json --out /tmp/bench_pipeline.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import sys
 import time
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
@@ -46,8 +42,11 @@ import numpy as np
 from repro.core import DNNOpt, EvalEngine, Optimizer, Study
 from repro.problems import LatencyProblem, Sphere
 
-#: fraction of the baseline speedup a measured speedup must retain.
-REGRESSION_FLOOR = 0.6
+from _shared import guard_main
+
+#: fraction of each committed ratio a measured ratio must retain.
+FLOORS = {"pipelined_vs_barrier": 0.6}
+INVARIANTS = ("identical", "replays")
 
 
 class SlowProposer(Optimizer):
@@ -85,6 +84,11 @@ def time_study(make_optimizer, make_engine, depth: int):
 
 
 def run(args) -> dict:
+    if args.quick:
+        args.budget, args.latency, args.ask_latency = 32, 40.0, 40.0
+        args.dnn_budget = 32
+    print(f"pipeline dispatch: budget {args.budget}, batch {args.batch}, "
+          f"{args.latency:g} ms/eval + {args.ask_latency:g} ms/ask")
     problem = LatencyProblem(Sphere(6), args.latency / 1e3)
     make_engine = lambda: EvalEngine("thread", workers=args.batch, cache_size=0)
 
@@ -126,38 +130,14 @@ def run(args) -> dict:
               f"({dnn['dnnopt_speedup']:.2f}x); replay ok: {dnn_replays}")
 
     return {
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "cpus": os.cpu_count()},
         "config": {"budget": args.budget, "batch": args.batch,
                    "latency_ms": args.latency, "ask_latency_ms": args.ask_latency,
                    "dnn_budget": args.dnn_budget, "quick": args.quick},
         "results": {"barrier_s": round(barrier_s, 4),
                     "pipelined_s": round(pipelined_s, 4), **dnn},
         "speedup": {"pipelined_vs_barrier": round(speedup, 3)},
-        "identical": identical,
-        "replays": replays,
+        "invariants": {"identical": identical, "replays": replays},
     }
-
-
-def check(report: dict, baseline_path: str) -> int:
-    baseline = json.loads(Path(baseline_path).read_text())
-    failures = []
-    if not report["identical"]:
-        failures.append("pipelined history diverged from barrier history")
-    if not report["replays"]:
-        failures.append("pipelined history does not replay to its evaluations")
-    floor = REGRESSION_FLOOR * baseline["speedup"]["pipelined_vs_barrier"]
-    got = report["speedup"]["pipelined_vs_barrier"]
-    status = "ok" if got >= floor else "REGRESSION"
-    print(f"  check pipelined_vs_barrier: {got:.2f}x vs floor {floor:.2f}x "
-          f"(baseline {baseline['speedup']['pipelined_vs_barrier']:.2f}x) -> {status}")
-    if got < floor:
-        failures.append(f"pipelined_vs_barrier {got:.2f}x below floor {floor:.2f}x")
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    print("pipelined dispatch speedup within baseline envelope")
-    return 0
 
 
 if __name__ == "__main__":
@@ -176,18 +156,4 @@ if __name__ == "__main__":
                         help="only run the guarded latency-modeled ratio")
     parser.add_argument("--quick", action="store_true",
                         help="small budgets for CI smoke")
-    parser.add_argument("--out", default="BENCH_pipeline.json")
-    parser.add_argument("--check", metavar="BASELINE.json",
-                        help="fail if the speedup regresses vs this baseline")
-    args = parser.parse_args()
-    if args.quick:
-        args.budget, args.latency, args.ask_latency = 32, 40.0, 40.0
-        args.dnn_budget = 32
-
-    print(f"pipeline dispatch: budget {args.budget}, batch {args.batch}, "
-          f"{args.latency:g} ms/eval + {args.ask_latency:g} ms/ask")
-    report = run(args)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if args.check:
-        sys.exit(check(report, args.check))
+    sys.exit(guard_main(parser, "BENCH_pipeline.json", run, FLOORS, INVARIANTS))

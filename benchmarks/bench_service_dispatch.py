@@ -6,38 +6,33 @@ server processes) on a latency-modeled problem: each evaluation
 sleeps ``--latency`` ms before computing, the external-simulator model
 (license queue, subprocess SPICE, simulation farm RPC) where dispatch
 overlap — not CPU count — sets the speedup.  That makes the measured
-*ratios* portable across hosts, unlike CPU-bound throughput:
+*ratios* portable across hosts, unlike CPU-bound throughput.  A
+dispatcher that stops overlapping the waits (lost work stealing,
+serialized chunks) drags them down.  Re-record the committed baseline, or
+check a run against it (see README "Perf guards"):
 
-    PYTHONPATH=src python benchmarks/bench_service_dispatch.py
-    PYTHONPATH=src python benchmarks/bench_service_dispatch.py --quick
-
-Results are written to ``BENCH_service.json`` (override with ``--out``) so
-the dispatch-efficiency trajectory is tracked across PRs.  ``--check
-BASELINE.json`` turns the run into a regression gate: it fails when the
-measured thread-vs-serial or remote-vs-serial speedup drops more than 40%
-below the committed baseline's — a dispatcher that stops overlapping the
-waits (lost work stealing, serialized chunks) shows up immediately.
+    PYTHONPATH=src python benchmarks/bench_service_dispatch.py --out BENCH_service.json
+    PYTHONPATH=src python benchmarks/bench_service_dispatch.py --quick \
+        --check BENCH_service.json --out /tmp/bench_service.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
-import subprocess
 import sys
-from pathlib import Path
 from time import perf_counter
 
 import numpy as np
 
 from repro.core import EvalEngine
-from repro.core.service import spawn_local_worker
+from repro.core.service import local_workers
 from repro.problems import LatencyProblem, Sphere
 
-#: fraction of the baseline speedup a measured speedup must retain.
-REGRESSION_FLOOR = 0.6
+from _shared import guard_main
+
+#: fraction of each committed ratio a measured ratio must retain.
+FLOORS = {"thread_vs_serial": 0.6, "remote_vs_serial": 0.6}
+INVARIANTS = ("identical",)
 
 
 def time_backend(make_engine, problem, batches: list[np.ndarray]) -> tuple[float, np.ndarray]:
@@ -57,18 +52,15 @@ def time_backend(make_engine, problem, batches: list[np.ndarray]) -> tuple[float
 
 
 def run(args) -> dict:
+    if args.quick:
+        args.batch, args.latency, args.reps = 32, 10.0, 1
+    print(f"service dispatch: batch {args.batch} x {args.latency:g} ms latency, "
+          f"{args.workers} pool workers, {args.shards} shards")
     problem = LatencyProblem(Sphere(6), args.latency / 1e3)
     batches = [problem.space.sample(np.random.default_rng(rep), args.batch)
                for rep in range(args.reps)]
 
-    procs = []
-    try:
-        hosts = []
-        for _ in range(args.shards):
-            proc, host = spawn_local_worker()
-            procs.append(proc)
-            hosts.append(host)
-
+    with local_workers(args.shards) as (_, hosts):
         backends = {
             "serial": lambda: EvalEngine("serial"),
             "thread": lambda: EvalEngine("thread", workers=args.workers),
@@ -86,14 +78,6 @@ def run(args) -> dict:
                 identical = identical and np.array_equal(reference, rows)
             print(f"  {name:>7}: {seconds:7.3f} s  "
                   f"({args.batch / seconds:8.1f} designs/s)")
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
 
     speedup = {
         "remote_vs_serial": round(results["serial_s"] / results["remote_s"], 3),
@@ -103,35 +87,13 @@ def run(args) -> dict:
     for name, ratio in speedup.items():
         print(f"  {name}: {ratio:.2f}x")
     return {
-        "host": {"machine": platform.machine(), "python": platform.python_version(),
-                 "cpus": os.cpu_count()},
         "config": {"batch": args.batch, "latency_ms": args.latency,
                    "workers": args.workers, "shards": args.shards,
                    "reps": args.reps, "quick": args.quick},
         "results": results,
         "speedup": speedup,
-        "identical": identical,
+        "invariants": {"identical": identical},
     }
-
-
-def check(report: dict, baseline_path: str) -> int:
-    baseline = json.loads(Path(baseline_path).read_text())
-    failures = []
-    if not report["identical"]:
-        failures.append("backends disagreed on the evaluated rows")
-    for name in ("thread_vs_serial", "remote_vs_serial"):
-        floor = REGRESSION_FLOOR * baseline["speedup"][name]
-        got = report["speedup"][name]
-        status = "ok" if got >= floor else "REGRESSION"
-        print(f"  check {name}: {got:.2f}x vs floor {floor:.2f}x "
-              f"(baseline {baseline['speedup'][name]:.2f}x) -> {status}")
-        if got < floor:
-            failures.append(f"{name} {got:.2f}x below floor {floor:.2f}x")
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    print("service dispatch speedups within baseline envelope")
-    return 0
 
 
 if __name__ == "__main__":
@@ -148,17 +110,4 @@ if __name__ == "__main__":
                         help="repetitions per backend (best rep is kept)")
     parser.add_argument("--quick", action="store_true",
                         help="small batch for CI smoke")
-    parser.add_argument("--out", default="BENCH_service.json")
-    parser.add_argument("--check", metavar="BASELINE.json",
-                        help="fail if speedups regress vs this baseline")
-    args = parser.parse_args()
-    if args.quick:
-        args.batch, args.latency, args.reps = 32, 10.0, 1
-
-    print(f"service dispatch: batch {args.batch} x {args.latency:g} ms latency, "
-          f"{args.workers} pool workers, {args.shards} shards")
-    report = run(args)
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {args.out}")
-    if args.check:
-        sys.exit(check(report, args.check))
+    sys.exit(guard_main(parser, "BENCH_service.json", run, FLOORS, INVARIANTS))

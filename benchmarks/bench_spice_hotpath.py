@@ -8,36 +8,33 @@ stamping plans ("after").  Alongside wall-clock sims/sec it reports Newton
 iterations/sec and AC solves/sec from the process-global hot-path counters
 (:mod:`repro.spice.profile`), plus the per-sim assemble/solve split.
 
-    PYTHONPATH=src python benchmarks/bench_spice_hotpath.py            # full
-    PYTHONPATH=src python benchmarks/bench_spice_hotpath.py --quick    # CI smoke
+The guarded metric is each circuit's plan-vs-legacy sims/sec *ratio*, not
+absolute sims/sec: absolute throughput varies wildly across host machines
+while both modes share the same host in one run.  Re-record the committed
+baseline, or check a run against it (see README "Perf guards"):
 
-Results are written to ``BENCH_spice.json`` (override with ``--out``) so the
-perf trajectory is tracked across PRs.  ``--check BASELINE.json`` turns the
-run into a regression gate: it fails when the measured plan-vs-legacy
-*speedup ratio* drops more than 30% below the committed baseline's ratio.
-The ratio — not absolute sims/sec — is the guarded metric because absolute
-throughput varies wildly across host machines while both modes share the
-same host in one run.
+    PYTHONPATH=src python benchmarks/bench_spice_hotpath.py --out BENCH_spice.json
+    PYTHONPATH=src python benchmarks/bench_spice_hotpath.py --quick \
+        --check BENCH_spice.json --out /tmp/bench_spice.json
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import platform
 import sys
-from pathlib import Path
 from time import perf_counter
 
 from repro.circuits import FoldedCascodeOTA, StrongArmLatch
 from repro.spice import profile, stamping
 
-#: fraction of the baseline speedup the measured speedup must retain.
+from _shared import guard_main
+
+#: fraction of each committed ratio a measured ratio must retain.
 #: The folded-cascode loop (the acceptance metric) is timing-stable across
 #: repeated runs; the StrongARM entry is one long transient per rep and
 #: shows occasional 1.5x-2.6x swings even on an idle host, so it gets a
 #: looser floor that still catches a real (2x-class) regression.
-REGRESSION_FLOOR = {"folded_cascode": 0.7, "strongarm_latch": 0.5}
+FLOORS = {"folded_cascode": 0.7, "strongarm_latch": 0.5}
 
 
 def time_mode(circuit, params: dict, reps: int, mode: str) -> dict:
@@ -72,94 +69,36 @@ def time_mode(circuit, params: dict, reps: int, mode: str) -> dict:
     }
 
 
-def bench_circuit(circuit, params: dict, reps: int) -> dict:
-    before = time_mode(circuit, params, reps, "legacy")
-    after = time_mode(circuit, params, reps, "plan")
-    return {
-        "before": before,
-        "after": after,
-        "speedup_sims_per_sec": after["sims_per_sec"] / before["sims_per_sec"],
-    }
-
-
-def run(quick: bool) -> dict:
-    fc_reps, latch_reps = (3, 2) if quick else (6, 3)
-    results = {
-        "benchmark": "bench_spice_hotpath",
-        "quick": quick,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "metric_note": ("'speedup_sims_per_sec' (plan vs legacy on one host) is "
-                        "the machine-portable guarded metric; absolute "
-                        "sims/sec values are host-dependent."),
-    }
-    fc = FoldedCascodeOTA()
-    print(f"folded-cascode evaluation loop ({fc_reps} reps/mode)...", flush=True)
-    results["folded_cascode"] = bench_circuit(fc, fc.nominal(), fc_reps)
-    latch = StrongArmLatch()
-    print(f"StrongARM latch testbench ({latch_reps} reps/mode)...", flush=True)
-    results["strongarm_latch"] = bench_circuit(latch, latch.nominal(), latch_reps)
-    results["speedup"] = results["folded_cascode"]["speedup_sims_per_sec"]
-    return results
-
-
-def report(results: dict) -> None:
-    for name in ("folded_cascode", "strongarm_latch"):
-        entry = results[name]
-        before, after = entry["before"], entry["after"]
-        print(f"\n{name}:")
+def run(args) -> dict:
+    fc_reps, latch_reps = (3, 2) if args.quick else (6, 3)
+    circuits = {"folded_cascode": (FoldedCascodeOTA(), fc_reps),
+                "strongarm_latch": (StrongArmLatch(), latch_reps)}
+    results, speedup = {}, {}
+    for name, (circuit, reps) in circuits.items():
+        print(f"{name} ({reps} reps/mode)...", flush=True)
+        before = time_mode(circuit, circuit.nominal(), reps, "legacy")
+        after = time_mode(circuit, circuit.nominal(), reps, "plan")
+        results[name] = {"before": before, "after": after}
+        speedup[name] = after["sims_per_sec"] / before["sims_per_sec"]
         print(f"  before (legacy): {before['sims_per_sec']:8.2f} sims/s  "
               f"{before['newton_iterations_per_sec']:10.0f} newton-iters/s  "
               f"{before['ac_solves_per_sec']:8.0f} ac-solves/s")
         print(f"  after  (plan):   {after['sims_per_sec']:8.2f} sims/s  "
               f"{after['newton_iterations_per_sec']:10.0f} newton-iters/s  "
               f"{after['ac_solves_per_sec']:8.0f} ac-solves/s")
-        print(f"  speedup: {entry['speedup_sims_per_sec']:.2f}x   "
+        print(f"  speedup: {speedup[name]:.2f}x   "
               f"(assemble {after['assemble_s_per_sim'] * 1e3:.1f} ms/sim, "
               f"solve {after['solve_s_per_sim'] * 1e3:.1f} ms/sim)")
-
-
-def check_against(results: dict, baseline_path: Path) -> int:
-    baseline = json.loads(baseline_path.read_text())
-    failures = 0
-    for name in ("folded_cascode", "strongarm_latch"):
-        base = baseline.get(name, {}).get("speedup_sims_per_sec")
-        if base is None:
-            continue
-        floor = REGRESSION_FLOOR[name] * base
-        measured = results[name]["speedup_sims_per_sec"]
-        verdict = "ok" if measured >= floor else "REGRESSION"
-        print(f"check {name}: speedup {measured:.2f}x vs baseline {base:.2f}x "
-              f"(floor {floor:.2f}x) -> {verdict}")
-        if measured < floor:
-            failures += 1
-    return failures
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true",
-                        help="small rep counts for the CI perf smoke")
-    parser.add_argument("--out", default="BENCH_spice.json",
-                        help="where to write the results JSON")
-    parser.add_argument("--check", metavar="BASELINE",
-                        help="fail if the speedup regresses >30%% vs this "
-                             "committed baseline JSON")
-    args = parser.parse_args(argv)
-
-    results = run(args.quick)
-    report(results)
-    out_path = Path(args.out)
-    out_path.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"\nwrote {out_path}")
-
-    if args.check:
-        failures = check_against(results, Path(args.check))
-        if failures:
-            print(f"{failures} perf regression(s) vs {args.check}", file=sys.stderr)
-            return 1
-    return 0
+    return {
+        "config": {"quick": args.quick, "fc_reps": fc_reps,
+                   "latch_reps": latch_reps},
+        "results": results,
+        "speedup": speedup,
+    }
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="small rep counts for the CI perf smoke")
+    sys.exit(guard_main(parser, "BENCH_spice.json", run, FLOORS))

@@ -23,7 +23,7 @@ import threading
 from repro.baselines import RandomSearch
 from repro.core import DNNOpt
 from repro.core.fleet import FleetCoordinator
-from repro.core.service import spawn_local_worker
+from repro.core.service import local_workers
 from repro.problems import ConstrainedSphere, Sphere
 
 if __name__ == "__main__":
@@ -31,12 +31,9 @@ if __name__ == "__main__":
     registry = fleet.listen()  # workers register + heartbeat here
     print(f"registry/metrics endpoint on {registry.address}")
 
-    procs = []
-    try:
-        for _ in range(2):
-            proc, host = spawn_local_worker(register=registry.address,
-                                            heartbeat=0.5)
-            procs.append(proc)
+    with fleet, local_workers(2, register=registry.address,
+                              heartbeat=0.5) as (procs, hosts):
+        for proc, host in zip(procs, hosts):
             print(f"worker {host} up (pid {proc.pid})")
 
         # two tenants: the sizing run gets twice the fair share
@@ -70,9 +67,3 @@ if __name__ == "__main__":
         print(json.dumps(fleet.stats(), indent=2))
         sizing_engine.close()
         sweep_engine.close()
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            proc.wait(timeout=10)
-        fleet.close()

@@ -94,6 +94,7 @@ from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import json
 import os
 import pickle
@@ -122,6 +123,7 @@ __all__ = [
     "recv_msg",
     "parse_host",
     "spawn_local_worker",
+    "local_workers",
     "main",
 ]
 
@@ -629,6 +631,36 @@ def spawn_local_worker(*, cache_size: int | None = None, cache_dir=None,
                 f"worker exited with {proc.returncode} before its "
                 f"readiness banner; output: {noise[-5:]!r}")
         buf += chunk
+
+
+@contextlib.contextmanager
+def local_workers(n: int, **spawn_kwargs):
+    """Run ``n`` :func:`spawn_local_worker` subprocesses for one block.
+
+    Yields ``(procs, hosts)``.  On exit — normal or by exception — every
+    worker still alive is terminated (killed if it ignores that for 10 s),
+    reaped, and its stdout pipe closed, so no zombie or open pipe outlives
+    the block.
+    """
+    import subprocess
+    procs: list = []
+    hosts: list[str] = []
+    try:
+        for _ in range(n):
+            proc, host = spawn_local_worker(**spawn_kwargs)
+            procs.append(proc)
+            hosts.append(host)
+        yield procs, hosts
+    finally:
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            try:
+                proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
 
 
 def _register_loop(registry: str, address: str, interval: float,

@@ -251,12 +251,8 @@ def test_worker_killed_mid_run_is_absorbed_bit_identical():
     serial = RandomSearch(problem_factory(), 30, seed=7).run()
     fleet = FleetCoordinator(heartbeat_timeout=1.5, poll_interval=0.1)
     registry = fleet.listen()
-    procs = []
-    try:
-        for _ in range(2):
-            proc, _host = service.spawn_local_worker(
-                register=registry.address, heartbeat=0.2)
-            procs.append(proc)
+    with fleet, service.local_workers(2, register=registry.address,
+                                      heartbeat=0.2) as (procs, _):
         assert _wait_for_workers(fleet, 2)
         engine = fleet.engine("victim-study")
         result = {}
@@ -277,16 +273,6 @@ def test_worker_killed_mid_run_is_absorbed_bit_identical():
         # the dead worker ages out / is dropped; the survivor stays
         assert _wait_for_workers(fleet, 1, timeout=15.0)
         engine.close()
-    finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except Exception:
-                proc.kill()
-        fleet.close()
 
 
 def test_elastic_join_serves_work_queued_before_any_worker():
@@ -303,19 +289,15 @@ def test_elastic_join_serves_work_queued_before_any_worker():
     thread.start()
     time.sleep(0.3)
     assert thread.is_alive()  # queued, waiting for capacity — not failed
-    proc = None
     try:
-        proc, _host = service.spawn_local_worker(register=registry.address,
-                                                 heartbeat=0.2)
-        thread.join(60)
-        assert not thread.is_alive()
-        np.testing.assert_array_equal(result["F"], problem.evaluate_batch(X))
+        with service.local_workers(1, register=registry.address,
+                                   heartbeat=0.2):
+            thread.join(60)
+            assert not thread.is_alive()
+            np.testing.assert_array_equal(result["F"], problem.evaluate_batch(X))
     finally:
         engine.close()
         fleet.close()
-        if proc is not None:
-            proc.terminate()
-            proc.wait(timeout=10)
 
 
 # ----------------------------------------------------------------------
@@ -399,17 +381,13 @@ def test_worker_cache_dir_two_process_smoke(tmp_path):
     X = problem.space.sample(np.random.default_rng(4), 6)
 
     def run_once():
-        proc, host = service.spawn_local_worker(cache_dir=tmp_path)
-        try:
+        with service.local_workers(1, cache_dir=tmp_path) as (_, [host]):
             with EvalEngine("remote", hosts=[host]) as engine:
                 F = engine.evaluate_batch(problem, X)
             addr = service.parse_host(host)
             with socket.create_connection(addr, timeout=10) as conn:
                 stats = _rpc(conn, {"op": "stats"})
             return F, stats
-        finally:
-            proc.terminate()
-            proc.wait(timeout=10)
 
     F1, stats1 = run_once()
     assert stats1["ok"] and stats1["n_sims"] == 6

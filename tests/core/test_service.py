@@ -13,10 +13,10 @@ tests against an externally-started service instead (the CI service smoke
 does exactly that).
 """
 
+import contextlib
 import json
 import os
 import socket
-import subprocess
 import threading
 
 import numpy as np
@@ -40,21 +40,8 @@ def service_hosts():
     if env_hosts:
         yield env_hosts
         return
-    procs, hosts = [], []
-    try:
-        for _ in range(2):
-            proc, host = service.spawn_local_worker()
-            procs.append(proc)
-            hosts.append(host)
+    with service.local_workers(2) as (_, hosts):
         yield hosts
-    finally:
-        for proc in procs:
-            proc.terminate()
-        for proc in procs:
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
 
 
 @pytest.fixture()
@@ -728,14 +715,24 @@ def test_spawn_local_worker_survives_startup_noise(monkeypatch):
     # the readiness banner (only the first line was ever read), so healthy
     # workers were killed at startup.  The banner is now scanned for.
     monkeypatch.setenv("PYTHONVERBOSE", "1")  # floods the stream pre-banner
-    proc, host = service.spawn_local_worker()
-    try:
+    with service.local_workers(1) as (_, [host]):
         with socket.create_connection(service.parse_host(host),
                                       timeout=10) as conn:
             assert _roundtrip(conn, {"op": "hello"})["ok"]
-    finally:
-        proc.terminate()
-        proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_local_workers_reaps_and_closes_pipes_on_exit(raises):
+    # The block's exit, normal or by exception, must leave no zombie
+    # worker and no open stdout pipe behind.
+    with pytest.raises(RuntimeError) if raises else contextlib.nullcontext():
+        with service.local_workers(2) as (procs, hosts):
+            assert len(hosts) == 2 and all(p.poll() is None for p in procs)
+            if raises:
+                raise RuntimeError("boom")
+    for proc in procs:
+        assert proc.returncode is not None
+        assert proc.stdout.closed
 
 
 def test_v2_connection_answers_stats_while_eval_in_flight(local_server):
