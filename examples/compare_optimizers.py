@@ -4,10 +4,12 @@ Runs DE, BO-wEI, GASPAD and DNN-Opt on the latch sizing problem and plots
 the average FoM convergence as ASCII (the paper's Figures 3/4).  Budgets are
 scaled down for a quick demonstration; set ``REPRO_FULL=1`` for the paper's
 protocol.  Independent trials can be spread over a process pool, and every
-trial's simulator queries can be routed through any evaluation backend —
-including a running multi-host evaluation service:
+trial's simulator queries can be routed through any evaluation backend: a
+thread pool inside each trial, or a running multi-host evaluation service
+(also the way to run CPU-bound simulations in parallel on one machine):
 
     python examples/compare_optimizers.py --workers 4 --trials 4
+    python examples/compare_optimizers.py --engine thread --engine-workers 2
     python -m repro.core.service --port 9101 &   # start shards first
     python -m repro.core.service --port 9102 &
     python examples/compare_optimizers.py --engine remote \
@@ -50,8 +52,8 @@ if __name__ == "__main__":
                              "workers for --engine remote (default: "
                              "REPRO_SERVICE_HOSTS)")
     parser.add_argument("--engine-workers", type=int, default=None,
-                        help="pool size inside each trial's engine "
-                             "(thread/process backends)")
+                        help="thread-pool size inside each trial's "
+                             "engine (--engine thread)")
     parser.add_argument("--pipeline", type=int, default=1, metavar="DEPTH",
                         help="ask/tell batches kept in flight per trial "
                              "(default 1 = barrier mode, the paper protocol)")

@@ -4,17 +4,18 @@ Every optimizer in this package funnels its simulator queries through an
 :class:`EvalEngine`.  The engine owns two orthogonal concerns:
 
 * **dispatch** — how a batch of designs is turned into performance rows.
-  Four backends are provided: ``serial`` (in-process loop, the default),
+  Three backends are provided: ``serial`` (in-process loop, the default),
   ``thread`` (a :class:`~concurrent.futures.ThreadPoolExecutor`; useful when
-  the simulator releases the GIL or blocks on I/O), ``process`` (a process
-  pool; true CPU parallelism for the pure-python SPICE engine), and
-  ``remote`` (a coordinator speaking a length-prefixed JSON socket protocol
-  to worker server processes on one or many hosts — see
-  :mod:`repro.core.service`).  The pools are fed *work-stealing* chunks
-  (:func:`_chunk_ranges`, ~4 small chunks per worker, shared with the
-  fleet scheduler): an idle worker takes the next chunk from the pool's
-  queue, so a straggling simulation only holds back its own chunk instead
-  of one fixed ``1/workers`` share of the batch.
+  the simulator releases the GIL or blocks on I/O), and ``remote`` (a
+  coordinator speaking a length-prefixed JSON socket protocol to worker
+  server processes on one or many hosts — see :mod:`repro.core.service`).
+  ``remote`` is also the CPU-parallel path on one host: start the workers
+  with :func:`repro.core.service.local_workers`.  The thread pool and the
+  remote workers are fed *work-stealing* chunks (:func:`_chunk_ranges`, ~4
+  small chunks per worker, shared with the fleet scheduler): an idle
+  worker takes the next chunk from the queue, so a straggling simulation
+  only holds back its own chunk instead of one fixed ``1/workers`` share
+  of the batch.
 * **memoization** — a content-hashed LRU cache keyed on the *canonical*
   design vector bytes (``DesignSpace.canonical``: rounded, signed zeros
   normalized), so re-querying an already-simulated sizing (duplicates from
@@ -32,10 +33,9 @@ The engine also snapshots the simulator's hot-path counters
 (:mod:`repro.spice.profile`) around every dispatch, so
 :meth:`EvalEngine.hotpath_report` can break simulation time into
 assemble / solve / AC-solve / overhead phases — the numbers
-``benchmarks/bench_spice_hotpath.py`` tracks across PRs.  ``process``
-workers and ``remote`` shards measure the counters where the simulation
-actually ran and ship the per-chunk deltas back, so the report is
-backend-independent.
+``benchmarks/bench_spice_hotpath.py`` tracks across PRs.  ``remote``
+shards measure the counters where the simulation actually ran and ship the
+per-chunk deltas back, so the report is backend-independent.
 
 All backends return rows in input order, so an optimizer's history is
 bit-identical no matter which backend ran the batch — the determinism and
@@ -58,16 +58,11 @@ design that would need the simulator.
 
 Problems are identified by a *content fingerprint* (a hash of their pickle)
 rather than object identity: two fresh-but-identical instances — the
-``problem_factory()``-per-trial pattern — share cache entries and, for the
-``process`` backend, share the warm worker pool instead of tearing it down
-every trial.  The engine holds only weak references to live problems, so a
-long-lived engine never keeps dropped problems alive.
-
-The process backend inherits the problem object through ``fork`` when the
-platform supports it (no pickling of the problem per task); elsewhere the
-problem is shipped to workers via the pool initializer, which requires it to
-be picklable.  All bundled problems (synthetic suite and circuit sizing
-problems) are plain-data objects and pickle cleanly.
+``problem_factory()``-per-trial pattern — share cache entries and, under
+the ``remote`` backend, the copy each worker already holds (a problem is
+shipped once per token, never once per instance).  The engine holds only
+weak references to live problems, so a long-lived engine never keeps
+dropped problems alive.
 """
 
 from __future__ import annotations
@@ -78,8 +73,7 @@ import pickle
 import threading
 import weakref
 from collections import OrderedDict
-from concurrent.futures import (CancelledError, Future, ProcessPoolExecutor,
-                                ThreadPoolExecutor)
+from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
 from functools import partial
 from itertools import count
 from time import perf_counter
@@ -103,30 +97,7 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CHUNK_TIMEOUT_ENV = "REPRO_CHUNK_TIMEOUT"
 
 
-BACKENDS = ("serial", "thread", "process", "remote")
-
-# Problem handed to process-pool workers through the initializer (or, under
-# fork, inherited directly from the parent's memory at pool creation).
-_WORKER_PROBLEM = None
-
-
-def _init_worker(problem) -> None:
-    global _WORKER_PROBLEM
-    _WORKER_PROBLEM = problem
-
-
-def _eval_chunk(X: np.ndarray) -> tuple[np.ndarray, dict[str, float]]:
-    """Process-pool task: evaluate a chunk of designs against the bound problem.
-
-    Returns the rows *and* the worker-side hot-path counter deltas for the
-    chunk, so the parent engine's :meth:`EvalEngine.hotpath_report` reflects
-    work done inside the pool.
-    """
-    from repro.spice import profile  # lazy: ``import repro`` stays light
-    before = profile.snapshot()
-    rows = np.vstack([_WORKER_PROBLEM.evaluate(x) for x in X])
-    return rows, {name: value for name, value in profile.delta(before).items()
-                  if value}
+BACKENDS = ("serial", "thread", "remote")
 
 
 def _chunk_ranges(n: int, n_consumers: int, granularity: int = 4):
@@ -171,9 +142,10 @@ class EvalEngine:
     Parameters
     ----------
     backend:
-        ``"serial"`` | ``"thread"`` | ``"process"`` | ``"remote"``.
+        ``"serial"`` | ``"thread"`` | ``"remote"``.
     workers:
-        Pool size for the parallel backends (default: visible CPU count).
+        Pool size for the ``thread`` backend (default: visible CPU count).
+        The ``remote`` backend's parallelism is its worker servers instead.
     cache_size:
         Maximum number of memoized evaluations; ``0`` disables the cache
         (the disk tier included).
@@ -274,7 +246,6 @@ class EvalEngine:
         self._problem_pins: dict[int, object] = {}    # guarded by: _state_lock
         self._anon_tokens = count()
         self._executor = None          # guarded by: _state_lock
-        self._executor_token: bytes | None = None  # pool's problem; guarded by: _state_lock
         self._remote = dispatcher      # guarded by: _state_lock
         # Non-blocking submit/gather machinery: a small thread pool runs the
         # dispatches, ``_inflight`` maps each pending design's cache key to
@@ -289,11 +260,10 @@ class EvalEngine:
         self.n_cache_hits = 0   # answered from the cache; guarded by: _state_lock
         self.n_disk_hits = 0    # ...from the persistent tier; guarded by: _state_lock
         self.n_dedup = 0        # answered by an in-batch/in-flight twin; guarded by: _state_lock
-        self.n_pool_builds = 0  # pools built over the lifetime; guarded by: _state_lock
         self.worker_sim_calls = 0  # sims reported by remote shards; guarded by: _state_lock
         # Per-phase hot-path breakdown, accumulated from the simulator's
-        # counters around each dispatch; process/remote backends fold in the
-        # per-chunk deltas their workers report back.
+        # counters around each dispatch; the remote backend folds in the
+        # per-chunk deltas its workers report back.
         self.dispatch_seconds = 0.0                   # guarded by: _state_lock
         self.phase_counters: dict[str, float] = {}    # guarded by: _state_lock
 
@@ -328,28 +298,14 @@ class EvalEngine:
             submit.shutdown(wait=True, cancel_futures=True)
             with self._state_lock:
                 self._inflight.clear()
+        # The thread pool goes last: a dispatch the submit pool was still
+        # running may have needed it.
         with self._state_lock:
-            stale = self._retire_worker_pool_locked()
-        if stale is not None:
-            stale.shutdown(wait=True)
+            pool, self._executor = self._executor, None
+        if pool is not None:
+            pool.shutdown(wait=True)
         if self._disk is not None:
             self._disk.close()
-
-    def _retire_worker_pool_locked(self):  # holds: _state_lock
-        """Detach the thread/process worker pool; the caller shuts it down.
-
-        Separate from :meth:`close` because a problem switch under the
-        process backend retires the old pool from *inside* a submit-pool
-        dispatch thread — which must never try to shut down (and join) the
-        submit pool it is running on.  The swap happens under
-        ``_state_lock`` so concurrent callers agree on one owner, but the
-        blocking ``shutdown(wait=True)`` (a pool join) is the caller's job
-        *after releasing the lock* — holding the hot state lock across a
-        join stalls every concurrent dispatch/counter fold (RP07).
-        """
-        stale, self._executor = self._executor, None
-        self._executor_token = None
-        return stale
 
     def clear_cache(self) -> None:
         """Drop every in-memory cache entry (thread-safe).
@@ -697,62 +653,15 @@ class EvalEngine:
         # results back in chunk order, so rows stay in input order.
         chunks = [X[start:stop]
                   for start, stop in _chunk_ranges(len(X), self.workers)]
-        if self.backend == "thread":
-            executor = self._thread_executor()
-            return np.vstack(list(executor.map(
-                lambda chunk: np.vstack([problem.evaluate(x) for x in chunk]),
-                chunks)))
-        import multiprocessing as mp
-        if mp.current_process().daemon:
-            # Daemonic contexts (e.g. fork-pool trial workers) cannot spawn
-            # pool children; degrade to the serial loop, same as the trial
-            # runner's own fallback.  Results are unchanged either way.
-            return np.vstack([problem.evaluate(x) for x in X])
-        executor = self._process_executor(problem, token)
-        rows = []
-        for chunk_rows, deltas in executor.map(_eval_chunk, chunks):
-            rows.append(chunk_rows)
-            with self._state_lock:  # overlapping submits fold concurrently
-                self._fold_locked(deltas)
-        return np.vstack(rows)
+        return np.vstack(list(self._thread_executor().map(
+            lambda chunk: np.vstack([problem.evaluate(x) for x in chunk]),
+            chunks)))
 
     def _thread_executor(self) -> ThreadPoolExecutor:
         with self._state_lock:
             if self._executor is None:
                 self._executor = ThreadPoolExecutor(max_workers=self.workers)
             return self._executor
-
-    def _process_executor(self, problem, token: bytes) -> ProcessPoolExecutor:
-        # The pool binds one problem (via fork inheritance or initializer).
-        # Rebuild only when the *content* changes: fresh-but-identical
-        # instances (the problem_factory()-per-trial pattern) keep the warm
-        # pool, whose bound copy evaluates identically.  Locked so
-        # overlapping submit() dispatch threads agree on one pool, and
-        # retiring only the worker pool (never the submit pool this thread
-        # may be running on).
-        while True:
-            with self._state_lock:
-                stale = None
-                if (self._executor is not None
-                        and self._executor_token != token):
-                    stale = self._retire_worker_pool_locked()
-                if stale is None:
-                    if self._executor is None:
-                        import multiprocessing as mp
-                        kwargs = {}
-                        if "fork" in mp.get_all_start_methods():
-                            kwargs["mp_context"] = mp.get_context("fork")
-                        self._executor = ProcessPoolExecutor(
-                            max_workers=self.workers, initializer=_init_worker,
-                            initargs=(problem,), **kwargs)
-                        self._executor_token = token
-                        self.n_pool_builds += 1
-                    return self._executor
-            # The retired pool joins its workers outside the lock (RP07):
-            # a concurrent dispatch thread folding per-chunk counters must
-            # not stall behind the old pool's shutdown.  Loop to re-check —
-            # another thread may have built the new pool meanwhile.
-            stale.shutdown(wait=True)
 
     def _remote_dispatcher(self):
         with self._state_lock:
@@ -782,9 +691,9 @@ class EvalEngine:
 
         ``overhead_s`` is dispatch wall-clock not attributed to a counted
         phase (testbench logic, waveform post-processing, engine/pool/wire
-        overhead).  The breakdown is backend-independent: ``process`` workers
-        and ``remote`` shards measure the counters where the simulation ran
-        and ship the per-chunk deltas back with each result.
+        overhead).  The breakdown is backend-independent: ``remote`` shards
+        measure the counters where the simulation ran and ship the per-chunk
+        deltas back with each result.
         """
         with self._state_lock:
             report = {name: self.phase_counters.get(name, 0.0)
@@ -811,7 +720,6 @@ class EvalEngine:
                     "n_cache_hits": self.n_cache_hits,
                     "n_disk_hits": self.n_disk_hits,
                     "n_dedup": self.n_dedup,
-                    "n_pool_builds": self.n_pool_builds,
                     "worker_sim_calls": self.worker_sim_calls,
                     "cache_entries": len(self._cache),
                     "dispatch_seconds": self.dispatch_seconds}

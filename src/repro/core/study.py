@@ -57,7 +57,7 @@ __all__ = ["Study", "engine_counter_snapshot", "attach_engine_stats"]
 
 #: engine counters surfaced per run in ``OptimizationHistory.summary()``
 _ENGINE_COUNTERS = ("n_cache_hits", "n_disk_hits", "n_sim_calls", "n_dedup",
-                    "n_pool_builds", "worker_sim_calls")
+                    "worker_sim_calls")
 
 CHECKPOINT_FORMAT = 1
 
@@ -93,7 +93,6 @@ def attach_engine_stats(history, engine, before: dict[str, int]) -> None:
         "disk_hits": delta["n_disk_hits"],
         "misses": delta["n_sim_calls"],
         "dedups": delta["n_dedup"],
-        "n_pool_builds": delta["n_pool_builds"],
         "worker_sim_calls": delta["worker_sim_calls"],
         "hit_rate": (round((delta["n_cache_hits"] + delta["n_dedup"]) / requested, 4)
                      if requested else 0.0),

@@ -45,14 +45,12 @@ Numerical equivalence with the legacy path (same stamps, different summation
 order) is pinned by ``tests/spice/test_stamp_plan.py``, which also holds a
 verbatim copy of the MOSFET batch before the memo and the gathers and checks
 the plan against it bit for bit.  The legacy path stays available through
-:func:`set_stamping_mode`/:func:`stamping` (or the
-``REPRO_SPICE_STAMPING=legacy`` environment variable) and is what the
-hot-path benchmark reports as "before".
+:func:`set_stamping_mode`/:func:`stamping` and is what the hot-path
+benchmark reports as "before".
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from time import perf_counter
 
@@ -69,9 +67,7 @@ from .mna import System
 __all__ = ["StampPlan", "stamping_mode", "set_stamping_mode", "stamping"]
 
 _MODES = ("plan", "legacy")
-_MODE = os.environ.get("REPRO_SPICE_STAMPING", "plan")
-if _MODE not in _MODES:  # pragma: no cover - env misconfiguration
-    _MODE = "plan"
+_MODE = "plan"
 
 _THETA_DT = TRAP_THETA  # alias: companion theta shared with the devices
 _PAIR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])

@@ -12,7 +12,7 @@ from repro.baselines import RandomSearch
 from repro.core import DNNOpt, EvalEngine, default_workers
 from repro.problems import ConstrainedSphere, Sphere
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "thread"]
 
 
 class CountingSphere(Sphere):
@@ -189,35 +189,11 @@ def test_cache_shared_across_identical_problem_instances():
     assert p3.calls == 5
 
 
-def test_process_pool_reused_across_identical_problem_instances():
-    rng = np.random.default_rng(0)
-    with EvalEngine("process", workers=2, cache_size=0) as engine:
-        for _ in range(3):
-            problem = ConstrainedSphere(2)
-            engine.evaluate_batch(problem, problem.space.sample(rng, 4))
-        assert engine.n_pool_builds == 1  # warm pool survives fresh instances
-        other = Sphere(3)
-        engine.evaluate_batch(other, other.space.sample(rng, 4))
-        assert engine.n_pool_builds == 2  # different content -> rebuild
-
-
-def test_hotpath_report_nonzero_under_process_backend():
-    # Workers ship their per-chunk counter deltas back, so the report no
-    # longer silently reads zero when the simulation ran in a pool.
-    from repro.circuits import FoldedCascodeOTA
-    problem = FoldedCascodeOTA().problem()
-    with EvalEngine("process", workers=2) as engine:
-        engine.evaluate_batch(problem, problem.space.sample(np.random.default_rng(1), 2))
-        report = engine.hotpath_report()
-    assert report["assemble_s"] > 0
-    assert report["solve_s"] > 0
-    assert report["newton_iterations"] > 0
-    assert report["ac_solves"] > 0
-
-
 def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         EvalEngine("gpu")
+    with pytest.raises(ValueError):
+        EvalEngine("process")
     with pytest.raises(ValueError):
         EvalEngine("thread", workers=0)
     with pytest.raises(ValueError):
@@ -231,7 +207,7 @@ def test_default_workers_positive():
 # ----------------------------------------------------------------------
 # Optimizer wiring: histories are backend-independent, bit for bit
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_random_search_history_bit_identical(backend):
     serial = RandomSearch(Sphere(3), 20, seed=5).run()
     with EvalEngine(backend, workers=3) as engine:
@@ -242,7 +218,7 @@ def test_random_search_history_bit_identical(backend):
     np.testing.assert_array_equal(serial.feasible, parallel.feasible)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_batched_dnnopt_history_bit_identical(backend):
     problem_factory = lambda: ConstrainedSphere(3)
     serial = small_dnnopt(problem_factory(), 18, seed=7, batch_size=3).run()
@@ -376,10 +352,10 @@ def test_close_cancels_queued_submits_and_gather_raises():
     assert "cancelled" in outcomes
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread"])
 def test_closed_engine_answers_cache_hits_but_builds_no_pool(backend):
     # evaluate_batch after close() used to rebuild the worker pool, answer,
-    # and leave the pool (for "process": its worker processes) running.
+    # and leave the pool running.
     problem = Sphere(2)
     rng = np.random.default_rng(0)
     X, fresh = problem.space.sample(rng, 4), problem.space.sample(rng, 4)
@@ -390,7 +366,6 @@ def test_closed_engine_answers_cache_hits_but_builds_no_pool(backend):
     with pytest.raises(RuntimeError, match="closed"):
         engine.evaluate_batch(problem, fresh)
     assert engine._executor is None
-    assert engine.counters_snapshot()["n_pool_builds"] == (backend == "process")
 
 
 def test_blocking_batch_on_cancelled_submit_raises_runtime_error():

@@ -78,40 +78,9 @@ def test_close_joins_retired_pool_outside_state_lock():
     engine._state_lock = lock
     pool = FakeExecutor(lock)
     engine._executor = pool
-    engine._executor_token = b"tok"
     engine.close()
     assert pool.shutdowns == [(True, False)]
     assert engine._executor is None
-    assert engine._executor_token is None
-
-
-def test_pool_switch_joins_stale_pool_outside_state_lock():
-    # Same RP07 contract on the _process_executor problem-switch path: the
-    # stale pool bound to the old problem token is joined with _state_lock
-    # released, and the loop re-checks in case another thread rebuilt it.
-    engine = EvalEngine("serial")
-    lock = OwnershipLock(engine._state_lock)
-    engine._state_lock = lock
-    replacement = FakeExecutor(lock)
-
-    class SwitchedPool(FakeExecutor):
-        def shutdown(self, wait=False, cancel_futures=False):
-            super().shutdown(wait, cancel_futures)
-            # Simulate a concurrent thread building the new pool while the
-            # stale one joins: the re-check loop must return it, not build.
-            engine._executor = replacement
-            engine._executor_token = b"new"
-
-    stale = SwitchedPool(lock)
-    engine._executor = stale
-    engine._executor_token = b"old"
-    builds_before = engine.n_pool_builds
-    got = engine._process_executor(Sphere(2), b"new")
-    assert got is replacement
-    assert stale.shutdowns == [(True, False)]
-    assert engine.n_pool_builds == builds_before  # re-check loop, no build
-    engine._executor = None  # keep close() away from the fakes
-    engine.close()
 
 
 def test_counters_snapshot_is_locked_and_consistent():
@@ -128,7 +97,7 @@ def test_counters_snapshot_is_locked_and_consistent():
 
     assert snap["n_sim_calls"] == engine.n_sim_calls > 0
     assert {"n_sim_calls", "n_cache_hits", "n_disk_hits", "n_dedup",
-            "n_pool_builds", "worker_sim_calls", "cache_entries",
+            "worker_sim_calls", "cache_entries",
             "dispatch_seconds"} <= set(snap)
     assert snap["cache_entries"] == len(engine._cache)
     engine.close()
@@ -198,7 +167,7 @@ def test_study_snapshot_routes_through_counters_snapshot():
     snap = engine_counter_snapshot(engine)
     assert calls == [True]
     assert set(snap) == {"n_cache_hits", "n_disk_hits", "n_sim_calls",
-                         "n_dedup", "n_pool_builds", "worker_sim_calls"}
+                         "n_dedup", "worker_sim_calls"}
     engine.close()
 
     class Duck:

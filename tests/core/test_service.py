@@ -239,6 +239,30 @@ def test_remote_folded_cascode_history_and_hotpath(service_hosts):
     assert report["ac_solves"] > 0
 
 
+def test_remote_workers_reuse_problem_across_identical_instances():
+    # The problem_factory()-per-trial pattern on local workers: fresh but
+    # identical instances share one content token, so each worker keeps
+    # the copy it already holds; only different content ships a new one.
+    def worker_problems(hosts):
+        counts = []
+        for host in hosts:
+            with socket.create_connection(service.parse_host(host),
+                                          timeout=10) as conn:
+                counts.append(_roundtrip(conn, {"op": "stats"})["problems"])
+        return counts
+
+    rng = np.random.default_rng(0)
+    with service.local_workers(2) as (_, hosts), \
+            EvalEngine("remote", hosts=hosts, cache_size=0) as engine:
+        for _ in range(3):
+            problem = ConstrainedSphere(2)
+            engine.evaluate_batch(problem, problem.space.sample(rng, 16))
+        assert worker_problems(hosts) == [1, 1]
+        other = Sphere(3)
+        engine.evaluate_batch(other, other.space.sample(rng, 16))
+        assert worker_problems(hosts) == [2, 2]
+
+
 def test_run_trials_can_target_running_service(service_hosts):
     # The runner's engine_factory hook: every trial builds its own remote
     # engine against the live service; histories match the serial protocol.

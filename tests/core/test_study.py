@@ -512,26 +512,6 @@ def test_submit_after_gather_hits_cache():
         assert engine.n_cache_hits == 5
 
 
-def test_submit_switches_process_pool_between_problems():
-    # A problem switch under the process backend retires the warm pool from
-    # inside a submit-pool dispatch thread; it must swap only the worker
-    # pool (never shut down the submit pool it is running on) and keep the
-    # engine usable.
-    rng = np.random.default_rng(4)
-    a, b = ConstrainedSphere(2), Sphere(3)
-    with EvalEngine("process", workers=2, cache_size=0) as engine:
-        Xa, Xb = a.space.sample(rng, 4), b.space.sample(rng, 4)
-        np.testing.assert_array_equal(
-            engine.gather(engine.submit(a, Xa)), a.evaluate_batch(Xa))
-        np.testing.assert_array_equal(
-            engine.gather(engine.submit(b, Xb)), b.evaluate_batch(Xb))
-        assert engine.n_pool_builds == 2
-        # ...and back again, still on the same engine.
-        np.testing.assert_array_equal(
-            engine.gather(engine.submit(a, Xa)), a.evaluate_batch(Xa))
-        assert engine.n_pool_builds == 3
-
-
 def test_gather_propagates_evaluation_errors():
     class Exploding(Sphere):
         def _evaluate(self, x):

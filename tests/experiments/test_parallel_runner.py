@@ -110,23 +110,6 @@ def test_engine_factory_leaves_histories_unchanged():
             _assert_histories_equal(base, got)
 
 
-def test_engine_factory_process_backend_inside_pool_workers():
-    # A process-backend engine built inside daemonic fork-pool trial workers
-    # cannot spawn pool children; the engine degrades to its serial loop
-    # instead of crashing, with identical histories.  DNNOpt with batch_size
-    # ensures multi-design batches actually reach the process dispatch path.
-    factory = lambda p, b, s: DNNOpt(p, b, s, n_init=8, n_elite=5,
-                                     critic_epochs=4, actor_epochs=4,
-                                     critic_hidden=(16, 16), actor_hidden=(16, 16),
-                                     max_pseudo=400, batch_size=2)
-    kwargs = dict(budget=12, n_trials=2, base_seed=5)
-    base = run_trials(factory, lambda: ConstrainedSphere(2), workers=1, **kwargs)
-    got = run_trials(factory, lambda: ConstrainedSphere(2), workers=2,
-                     engine_factory=lambda: EvalEngine("process", workers=2),
-                     **kwargs)
-    _assert_histories_equal(base, got)
-
-
 def test_parallel_verbose_prints_in_trial_order(capsys):
     run_trials(lambda p, b, s: RandomSearch(p, b, s), lambda: Sphere(2),
                budget=5, n_trials=3, base_seed=0, workers=3, verbose=True)
