@@ -13,8 +13,6 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
-import networkx as nx
-
 from .devices.base import Device, DeviceIndex
 from .devices.controlled import CCCS, CCVS, VCCS, VCVS
 from .devices.diode import Diode
@@ -143,19 +141,27 @@ class CompiledCircuit:
 
     def check_dc_connectivity(self) -> None:
         """Raise :class:`NetlistError` if any node lacks a DC path to ground."""
-        graph = nx.Graph()
-        graph.add_node(-1)
-        for node_id in self.node_index.values():
-            graph.add_node(node_id)
+        # Union-find over the node ids plus ground (-1), path-halving on find.
+        parent = {node_id: node_id for node_id in self.node_index.values()}
+        parent[-1] = -1
+
+        def find(node_id: int) -> int:
+            while parent[node_id] != node_id:
+                parent[node_id] = parent[parent[node_id]]
+                node_id = parent[node_id]
+            return node_id
+
         for device, idx in zip(self.circuit.devices, self.indices):
             if isinstance(device, _CONDUCTIVE):
-                graph.add_edge(idx.nodes[0], idx.nodes[1])
+                a, b = idx.nodes[0], idx.nodes[1]
             elif isinstance(device, MOSFET):
-                drain, _, source, _ = idx.nodes
-                graph.add_edge(drain, source)
-        reachable = nx.node_connected_component(graph, -1)
+                a, _, b, _ = idx.nodes
+            else:
+                continue
+            parent[find(a)] = find(b)
+        ground = find(-1)
         floating = [name for name, node_id in self.node_index.items()
-                    if node_id not in reachable]
+                    if find(node_id) != ground]
         if floating:
             raise NetlistError(f"nodes with no DC path to ground: {sorted(floating)}")
 

@@ -11,8 +11,10 @@ calls and three counter adds (``newton_iterations``, ``assemble_s``,
 and each plan-path transient step two calls and one add for its baked
 companion part.  That is well under a microsecond per iteration, small
 next to the model evaluation and the dense solve.  ``snapshot``/``delta`` let a
-caller measure just its own window of activity; counts accumulated inside
-``process``-backend pool workers stay in those workers.
+caller measure just its own window of activity.  Remote worker servers
+(:mod:`repro.core.service`) take a delta around each chunk they simulate and
+ship it back in the reply, so the coordinator's engine folds in work done in
+other processes.
 
 These are best-effort diagnostics, not ledgers: the table is process-global
 and updates are plain ``+=`` (no lock — a lock would tax every Newton
